@@ -8,7 +8,6 @@ loaders remap arbitrary integer labels on ingestion and remember the mapping.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -305,49 +304,3 @@ def ordered_dedup(items) -> tuple:
             seen.add(v)
             out.append(v)
     return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# Dataset files: one JSON object per line, {"x": <key>, "y": <int label>}.
-# ---------------------------------------------------------------------------
-
-
-def load_dataset(path, alphabet_size=None):
-    """Read a JSON-lines dataset file.
-
-    External labels may be arbitrary integers; they are remapped to dense
-    0..L-1 in sorted order. Returns (dataset, label_map) where label_map sends
-    external label -> internal label.
-    """
-    raw = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            if "x" not in row or "y" not in row:
-                raise InvalidParams(f"{path}:{line_no}: rows need 'x' and 'y' fields")
-            raw.append((as_instance_key(row["x"]), int(row["y"])))
-    if not raw:
-        raise InvalidParams(f"{path}: empty dataset file")
-    observed = sorted({y for _, y in raw})
-    label_map = {y: i for i, y in enumerate(observed)}
-    size = len(observed) if alphabet_size is None else int(alphabet_size)
-    if size < len(observed):
-        raise InvalidParams("alphabet_size smaller than the number of observed labels")
-    size = max(size, 2)
-    pairs = [(x, label_map[y]) for x, y in raw]
-    return make_dataset(pairs, alphabet=range(size)), label_map
-
-
-def save_dataset(dataset: Dataset, path, label_map=None):
-    """Write a dataset as JSON lines, optionally mapping labels back to external ids."""
-    inverse = None
-    if label_map is not None:
-        inverse = {v: k for k, v in label_map.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in dataset.examples:
-            x = list(ex.instance) if isinstance(ex.instance, tuple) else ex.instance
-            y = inverse[ex.label] if inverse else ex.label
-            fh.write(json.dumps({"x": x, "y": int(y)}) + "\n")

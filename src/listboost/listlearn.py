@@ -36,6 +36,7 @@ from .errors import (
     PhaseFailure,
 )
 from .hedge import HedgeResult, replay_hedge, run_hedge
+from .recursive import round_digests, verified_round_digests
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
 
 
@@ -102,8 +103,8 @@ class WeakToListResult:
         return self.mu(x)
 
 
-def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, gamma: float,
-                           k: int, sigma: float, T: int, eta: float,
+def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, digests: list,
+                           gamma: float, k: int, sigma: float, T: int, eta: float,
                            spec: WeakLearnerSpec, seed: int) -> WeakToListResult:
     score = result.score
     entries = {x: _vote_entry(score.counts(x), k, T) for x in dataset.unique_instances}
@@ -124,11 +125,7 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, gamma: float,
     mu = ListFunction.composed(extend, declared_size=max(1, k - 1), entries=entries,
                                name=f"weak-to-list[k={k}]")
     slots = [
-        HypothesisSlot(
-            slot=t,
-            indices=result.rounds[t].indices,
-            pred_hash=stable_digest(tuple(int(v) for v in score.predictions[t])),
-        )
+        HypothesisSlot(slot=t, indices=result.rounds[t].indices, pred_hash=digests[t])
         for t in range(len(result.rounds))
     ]
     meta = {
@@ -167,7 +164,8 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
     rs = RandomStream(seed, ("weak-to-list",))
     result = run_hedge(dataset, mu0, spec, T, eta, rs.child("rounds"), gamma=gamma,
                        audit_log=audit_log, audit_tag="w2l:")
-    return _assemble_weak_to_list(dataset, result, gamma, k, sigma, T, eta, spec, seed)
+    return _assemble_weak_to_list(dataset, result, round_digests(result.score), gamma, k,
+                                  sigma, T, eta, spec, seed)
 
 
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
@@ -179,16 +177,8 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
                           meta["eta"], gamma=meta["gamma"], audit_tag="w2l:")
-    for t, slot in enumerate(group.slots):
-        if slot.pred_hash:
-            got = stable_digest(tuple(int(v) for v in result.score.predictions[t]))
-            if got != slot.pred_hash:
-                from .errors import NonDeterministicLearner
-
-                raise NonDeterministicLearner(
-                    f"round {t + 1}: replayed hypothesis diverged from the record"
-                )
-    return _assemble_weak_to_list(dataset, result, meta["gamma"], int(meta["k"]),
+    digests = verified_round_digests(result.score, group.slots)
+    return _assemble_weak_to_list(dataset, result, digests, meta["gamma"], int(meta["k"]),
                                   meta["sigma"], int(meta["T"]), meta["eta"],
                                   effective, int(meta["seed"]))
 

@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -528,7 +529,9 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
     induced list covers at least 1/(d+1) of the survivors (checked in exact
     integer arithmetic); covered examples are then removed. The search is
     exhaustive over subsets when that fits the budget, otherwise it draws
-    seeded random subsets and the fallback is recorded per round.
+    seeded random subsets and the fallback is recorded per round. A round
+    scores each distinct set of labelled examples once, at each distinct
+    surviving instance.
     """
     from .compression import HypothesisSlot, RecordGroup
 
@@ -561,13 +564,23 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
                 for _ in range(search_budget):
                     draw = gen.choice(need, size=d, replace=True)
                     yield tuple(sorted({survivors[i] for i in draw}))
-        best_cov, best_subset, best_mu = -1, None, None
+        best_cov, best_subset = -1, None
         chosen = None
+        # The induced list depends only on the set of labelled examples, so a
+        # repeated set covers what its first copy did: it can neither beat
+        # best_cov (strict >) nor clear the bar that copy missed.
+        scored = set()
+        xs = ordered_dedup(dataset.instances[i] for i in survivors)
         for subset in subset_iter():
+            key = frozenset(dataset.examples[i] for i in subset)
+            if key in scored:
+                continue
+            scored.add(key)
             mu_s = _cover_round_mu(fc, dataset, subset, k, strategy, orient_budget)
-            covered = [i for i in survivors if int(labels[i]) in mu_s(dataset.instances[i])]
+            lists = {x: mu_s(x) for x in xs}
+            covered = [i for i in survivors if int(labels[i]) in lists[dataset.instances[i]]]
             if len(covered) > best_cov:
-                best_cov, best_subset, best_mu = len(covered), subset, mu_s
+                best_cov, best_subset = len(covered), subset
             if len(covered) * (d + 1) >= need:
                 chosen = (subset, mu_s, covered)
                 break

@@ -21,6 +21,7 @@ from .errors import (
     GammaExhausted,
     InvalidGamma,
     InvalidParams,
+    NonDeterministicLearner,
     PhaseFailure,
 )
 from .hedge import ScoreTable, replay_hedge, run_hedge
@@ -108,8 +109,20 @@ class StagedListChain:
         return int(min(candidates, key=lambda y: (-table.score(x, y), y)))
 
 
-def predict_final(chain: StagedListChain, x) -> int:
-    return chain.predict(x)
+def round_digests(score: ScoreTable) -> list:
+    """Each round's fingerprint: the digest of its prediction row, a slot's pred_hash."""
+    return [stable_digest(tuple(row)) for row in score.predictions.tolist()]
+
+
+def verified_round_digests(score: ScoreTable, slots, where: str = "") -> list:
+    """Each replayed round's fingerprint, checked against the recorded slots first."""
+    digests = round_digests(score)
+    for t, (slot, got) in enumerate(zip(slots, digests)):
+        if slot.pred_hash and got != slot.pred_hash:
+            raise NonDeterministicLearner(
+                f"{where}round {t + 1}: replayed hypothesis diverged from the record"
+            )
+    return digests
 
 
 @dataclass
@@ -168,7 +181,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     for j in range(1, p):
         if all(len(lst) <= 1 for lst in cur_lists.values()):
             break
-        result = phase_runner(j, lists[-1])
+        result, digests = phase_runner(j, lists[-1])
         oracle_calls += T
         denom = p - j + 1
         new_entries = _shrink_entries(cur_lists, result.score, T, denom)
@@ -183,8 +196,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         nxt = _make_stage_list(lists[-1], result.score, T, denom, new_entries,
                                declared, name=f"stage[{j + 1}]")
         slots = [
-            HypothesisSlot(slot=t, indices=result.rounds[t].indices,
-                           pred_hash=stable_digest(tuple(int(v) for v in result.score.predictions[t])))
+            HypothesisSlot(slot=t, indices=result.rounds[t].indices, pred_hash=digests[t])
             for t in range(T)
         ]
         phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
@@ -233,9 +245,10 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
                                      gamma=config.gamma, audit_log=audit_log)
 
     def phase_runner(j, mu_j):
-        return run_hedge(dataset, mu_j, effective, config.T, config.eta,
-                         rs.child("phase", j), gamma=config.gamma,
-                         audit_log=audit_log, audit_tag=f"phase{j}:")
+        result = run_hedge(dataset, mu_j, effective, config.T, config.eta,
+                           rs.child("phase", j), gamma=config.gamma,
+                           audit_log=audit_log, audit_tag=f"phase{j}:")
+        return result, round_digests(result.score)
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 
@@ -258,16 +271,7 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
                               audit_tag=f"phase{j}:")
-        for t, slot in enumerate(group.slots):
-            if slot.pred_hash:
-                got = stable_digest(tuple(int(v) for v in result.score.predictions[t]))
-                if got != slot.pred_hash:
-                    from .errors import NonDeterministicLearner
-
-                    raise NonDeterministicLearner(
-                        f"phase {j} round {t + 1}: replayed hypothesis diverged"
-                    )
-        return result
+        return result, verified_round_digests(result.score, group.slots, f"phase {j} ")
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 

@@ -26,7 +26,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, ExampleDistribution, ListFunction, stable_digest
+from .core import Dataset, ExampleDistribution, ListFunction
 from .errors import (
     InvalidGamma,
     InvalidParams,
@@ -59,9 +59,6 @@ class WeakHypothesis:
         if self._vector is not None and self._vector_dataset is dataset:
             return self._vector
         return np.array([self.predict(x) for x in dataset.instances], dtype=np.int64)
-
-    def behavior_hash(self, instances) -> str:
-        return stable_digest(tuple(int(self.predict(x)) for x in instances))
 
 
 class WeakLearner:
@@ -373,46 +370,6 @@ class ConstantLearner(WeakLearner):
     def train(self, sample, mu=None) -> WeakHypothesis:
         lbl = self.label
         return WeakHypothesis(predict=lambda x: lbl, source=self.name,
-                              trained_with_list=mu.name if mu is not None else "")
-
-
-class PlantedPerfectLearner(WeakLearner):
-    """Ignores the sample and predicts from a planted ground-truth table."""
-
-    def __init__(self, truth: dict, name: str = "planted-perfect"):
-        self.truth = dict(truth)
-        self.name = name
-
-    def train(self, sample, mu=None) -> WeakHypothesis:
-        truth = self.truth
-
-        def predict(x):
-            try:
-                return truth[x]
-            except KeyError:
-                raise UnknownInstance(f"no planted label for {x!r}") from None
-
-        return WeakHypothesis(predict=predict, source=self.name,
-                              trained_with_list=mu.name if mu is not None else "")
-
-
-class PseudoRandomGuessLearner(WeakLearner):
-    """Deterministic label-hash guesser; behaves like random guessing."""
-
-    def __init__(self, alphabet, salt: int = 0):
-        self.alphabet = tuple(alphabet)
-        self.salt = int(salt)
-        self.name = f"pseudo-random-guess[{len(self.alphabet)}]"
-
-    def train(self, sample, mu=None) -> WeakHypothesis:
-        alphabet = self.alphabet
-        salt = self.salt
-
-        def predict(x):
-            h = int(stable_digest((salt, x)), 16)
-            return alphabet[h % len(alphabet)]
-
-        return WeakHypothesis(predict=predict, source=self.name,
                               trained_with_list=mu.name if mu is not None else "")
 
 

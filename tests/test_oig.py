@@ -5,6 +5,9 @@ computed with a separate brute-force enumerator over the same six small
 classes before this module existed.
 """
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
@@ -32,8 +35,9 @@ from listboost import (
     save_finite_class,
     wrong_label_learner,
 )
-from listboost.core import make_dataset
-from tests.conftest import planted_dataset
+from listboost import oig
+from listboost.core import make_dataset, stable_digest
+from tests.conftest import build_class, planted_dataset
 
 # name -> (optimal max out-degree for k=1..3, dimension for k=1..2)
 FROZEN = {
@@ -318,3 +322,72 @@ def test_replay_list_pac_guards(catalog):
         replay_list_pac(res.record, ds, None)
     with pytest.raises(InvalidParams):
         replay_list_pac(res.record, ds, catalog["hexagon"])
+
+
+def _hamming_ball(labels, columns):
+    """The all-zero row and every row that relabels exactly one of its columns."""
+    rows = [(0,) * columns]
+    for col in range(columns):
+        for y in range(1, labels):
+            rows.append(tuple(y if c == col else 0 for c in range(columns)))
+    return build_class(rows, alphabet=tuple(range(labels)))
+
+
+def _reference_cover(fc, ds, k, d):
+    """initial_cover's exhaustive search, scoring every subset at every survivor.
+
+    Returns per round the chosen subset, its coverage, the slot fingerprint
+    and how many distinct labelled subsets were scored up to the chosen one.
+    """
+    q = math.ceil((d + 1) * math.log(2 * ds.m))
+    survivors = list(range(ds.m))
+    rounds = []
+    for _ in range(q):
+        if not survivors:
+            break
+        need = len(survivors)
+        scored = set()
+        for subset in (c for s in range(min(d, need), -1, -1)
+                       for c in itertools.combinations(survivors, s)):
+            scored.add(frozenset(ds.examples[i] for i in subset))
+            mu = oig_list_function(fc, ds.subset(subset), k)
+            covered = [i for i in survivors if int(ds.labels[i]) in mu(ds.instances[i])]
+            if len(covered) * (d + 1) >= need:
+                break
+        digest = stable_digest(tuple(mu(x) for x in ds.unique_instances))
+        rounds.append((tuple(subset), len(covered), digest, len(scored)))
+        gone = set(covered)
+        survivors = [i for i in survivors if i not in gone]
+    assert not survivors
+    return rounds
+
+
+@pytest.mark.parametrize("m,d", [(120, None), (40, 2)])
+def test_initial_cover_matches_reference_and_scores_each_instance_once(monkeypatch, m, d):
+    # Many repeated examples over few columns, sorted by column so that a
+    # round tries many subsets: the cover scores each distinct labelled
+    # subset once, at each distinct surviving instance.
+    fc, k = _hamming_ball(labels=4, columns=12), 1
+    xs = np.sort(np.random.default_rng(5).integers(0, fc.n, size=m))
+    ds = make_dataset([(fc.columns[x], 0) for x in xs], alphabet=fc.alphabet)
+    d = kds_dimension(fc, k) if d is None else d
+    ref = _reference_cover(fc, ds, k, d)
+
+    calls = 0
+    predict = oig.one_inclusion_list_predict
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(oig, "one_inclusion_list_predict", counting)
+    res = initial_cover(fc, ds, k, d=d)
+    assert [(r.subset, r.coverage) for r in res.rounds] == [r[:2] for r in ref]
+    assert [s.indices for s in res.record_group.slots] == [r[0] for r in ref]
+    assert [s.pred_hash for s in res.record_group.slots] == [r[2] for r in ref]
+    assert not any(r.fallback for r in res.rounds)
+    n_x = len(ds.unique_instances)
+    # Per round: every distinct subset scored, plus the slot fingerprint, at
+    # every distinct instance; then the concatenated list's table.
+    assert calls <= sum((r[3] + 1) * n_x for r in ref) + len(ref) * n_x

@@ -11,7 +11,12 @@ import argparse
 import json
 import sys
 
-from .compression import CompressionRecord, bound_is_vacuous, generalization_bound
+from .compression import (
+    CompressionRecord,
+    bound_is_vacuous,
+    compression_size,
+    generalization_bound,
+)
 from .core import RandomStream, as_instance_key
 from .errors import ListboostError
 from .harness import (
@@ -23,7 +28,7 @@ from .harness import (
     write_report,
     write_report_csv,
 )
-from .hint import build_initial_hint
+from .hint import build_initial_hint, default_hint_rounds
 from .recursive import BoostConfig, adaptive_gamma, recursive_boost
 from .weak_learn import (
     BrgAuditLog,
@@ -144,11 +149,9 @@ def _cmd_hint(args) -> int:
     fc = _load_class(args.class_file) if args.class_file else None
     learner = _make_learner(args, fc)
     spec = WeakLearnerSpec(learner, args.m0 if args.m0 else dataset.m)
-    import math
-
-    p = args.p if args.p else math.ceil(math.log(max(dataset.m, 2)) / args.gamma)
     audit_log = BrgAuditLog()
     try:
+        p = args.p if args.p else default_hint_rounds(dataset.m, args.gamma)
         res = build_initial_hint(dataset, spec, p, RandomStream(args.seed, ("hint",)),
                                  gamma=args.gamma, audit_log=audit_log)
     except ListboostError as exc:
@@ -262,7 +265,7 @@ def _cmd_compress_bound(args) -> int:
     r = args.r
     if args.record:
         record = CompressionRecord.load(args.record)
-        r = sum(g.size() for g in record.groups)
+        r = compression_size(record)
     if r is None:
         raise SystemExit("compress-bound needs --r or --record")
     try:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .core import Dataset, RandomStream
-from .errors import InvalidParams, RTooLarge
+from .errors import InvalidParams, NonDeterministicLearner, RTooLarge
 
 RECORD_FORMAT = "listboost-record/1"
 
@@ -108,6 +106,20 @@ class CompressionRecord:
     def load(cls, path) -> "CompressionRecord":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def check_fingerprints(slots, digests, where: str) -> None:
+    """Compare replayed digests with the recorded slots' pred_hash, in order.
+
+    Slots with an empty pred_hash carry no fingerprint and are skipped; the
+    first disagreement raises NonDeterministicLearner naming the record
+    group ``where`` and the slot.
+    """
+    for slot, got in zip(slots, digests):
+        if slot.pred_hash and got != slot.pred_hash:
+            raise NonDeterministicLearner(
+                f"{where} slot {slot.slot}: replayed hypothesis diverged from the record"
+            )
 
 
 def compression_size(record: CompressionRecord) -> int:

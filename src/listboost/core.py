@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -212,20 +212,6 @@ class RandomStream:
 
     def __repr__(self):
         return f"RandomStream(seed={self.seed}, path={self.path})"
-
-
-def sample_indices(dist: ExampleDistribution, count: int, rng: RandomStream) -> np.ndarray:
-    """Draw `count` example indices i.i.d. (with replacement) from `dist`."""
-    if count < 1:
-        raise InvalidParams("sample count must be at least 1")
-    return rng.generator().choice(dist.size, size=count, replace=True, p=dist.weights)
-
-
-def sample_iid(dist: ExampleDistribution, dataset: Dataset, count: int, rng: RandomStream) -> list:
-    """Draw `count` labeled examples i.i.d. from `dist` over `dataset`."""
-    if dist.size != dataset.m:
-        raise InvalidParams("distribution and dataset sizes differ")
-    return dataset.subset(sample_indices(dist, count, rng))
 
 
 class ListFunction:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import generalization_bound
+from .compression import compression_size, generalization_bound
 from .core import (
     Dataset,
     ListFunction,
@@ -328,7 +328,7 @@ def _run_list_boost_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
     res = list_boost(ds, ErmListLearner(gen_res.finite_class, k0), k0, eps0,
                      delta=delta, seed=seed, m0=cfg.get("m0"), T=cfg.get("T"),
                      audit_log=audit_log)
-    r = sum(g.size() for g in res.inner.record.groups)
+    r = compression_size(res.inner.record)
     pass_rate = audit_log.pass_rate
     row = {
         "consistent": res.inner.consistent_on_train if pass_rate == 1.0 else None,

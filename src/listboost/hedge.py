@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Dataset, ExampleDistribution, ListFunction, RandomStream, normalize
+from .core import Dataset, ListFunction, RandomStream, normalize
 from .errors import EmptyCandidates, InvalidParams
 from .weak_learn import (
     BrgAudit,
@@ -25,6 +25,7 @@ from .weak_learn import (
     TrainContext,
     WeakLearnerSpec,
     audit_from_arrays,
+    coverage_mask,
 )
 
 
@@ -98,20 +99,12 @@ class HedgeResult:
     def audits(self) -> list:
         return [r.audit for r in self.rounds if r.audit is not None]
 
-    @property
-    def audits_all_passed(self) -> bool:
-        return all(a.passed for a in self.audits)
-
     def regret_bound_rhs(self) -> np.ndarray:
         """Per-example right side: ln(m)/eta + eta*T + H(x_i, y_i)."""
         m = self.final_log_weights.size
         T = self.score.total
         base = np.log(m) / self.eta + self.eta * T
         return base + self.correct_counts
-
-    def regret_slacks(self) -> np.ndarray:
-        """rhs - sum_t alpha_t, per example; the bound holds when all >= 0."""
-        return self.regret_bound_rhs() - float(self.alphas.sum())
 
     def regret_satisfied(self, rel_tol: float = 1e-6) -> bool:
         lhs = float(self.alphas.sum())
@@ -132,17 +125,6 @@ class HedgeResult:
         return rows
 
 
-def _coverage_mask(dataset: Dataset, mu: ListFunction) -> np.ndarray:
-    if mu.is_universal:
-        return np.ones(dataset.m, dtype=bool)
-    uniq = dataset.unique_instances
-    lists = {x: mu(x) for x in uniq}
-    return np.array(
-        [dataset.labels[i] in lists[x] for i, x in enumerate(dataset.instances)],
-        dtype=bool,
-    )
-
-
 def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
                 eta: float, index_source: Callable, gamma: Optional[float],
                 audit_log: Optional[BrgAuditLog], audit_tag: str) -> HedgeResult:
@@ -154,7 +136,7 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
     labels = dataset.labels
     learner = spec.learner
     ctx = TrainContext(dataset, mu) if learner.distribution_aware else None
-    covered = ctx.covered if ctx is not None else _coverage_mask(dataset, mu)
+    covered = ctx.covered if ctx is not None else coverage_mask(dataset, mu)
     log_w = np.zeros(m, dtype=np.float64)
     predictions = np.empty((T, m), dtype=np.int64)
     alphas = np.empty(T, dtype=np.float64)

@@ -26,8 +26,8 @@ from .core import (
     ordered_dedup,
     stable_digest,
 )
-from .compression import HypothesisSlot, RecordGroup
-from .errors import InvalidGamma, InvalidParams
+from .compression import HypothesisSlot, RecordGroup, check_fingerprints
+from .errors import InvalidGamma, InvalidParams, NonDeterministicLearner
 from .weak_learn import BrgAuditLog, TrainContext, WeakLearnerSpec, audit_from_arrays
 
 
@@ -53,20 +53,9 @@ class HintResult:
     def record_group(self) -> RecordGroup:
         return RecordGroup(tag="hint", slots=self.slots)
 
-    def trace_rows(self) -> list:
-        return [
-            {
-                "round": j + 1,
-                "residual_before": self.residual_sizes[j],
-                "audit_pass": (None if not self.audits else bool(self.audits[j].passed)),
-            }
-            for j in range(self.rounds_run)
-        ]
-
 
 def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
-               gamma: Optional[float], audit_log: Optional[BrgAuditLog],
-               expected_hashes: Optional[list] = None):
+               gamma: Optional[float], audit_log: Optional[BrgAuditLog]):
     if p < 1:
         raise InvalidParams("hint round budget p must be at least 1")
     m = dataset.m
@@ -79,7 +68,6 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     slots = []
     residual_sizes = []
     audits = []
-    pred_rows = []
     for j in range(1, p + 1):
         size = int(residual.sum())
         if size == 0:
@@ -100,18 +88,9 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
             audits.append(audit)
             if audit_log is not None:
                 audit_log.append(audit)
-        pred_hash = stable_digest(tuple(int(v) for v in preds))
-        if expected_hashes is not None and expected_hashes[j - 1]:
-            if pred_hash != expected_hashes[j - 1]:
-                from .errors import NonDeterministicLearner
-
-                raise NonDeterministicLearner(
-                    f"hint round {j}: replayed hypothesis diverged from the record"
-                )
         hypotheses.append(h)
-        pred_rows.append(preds)
         slots.append(HypothesisSlot(slot=j - 1, indices=tuple(int(i) for i in indices),
-                                    pred_hash=pred_hash))
+                                    pred_hash=stable_digest(tuple(preds.tolist()))))
         residual = residual & ~correct
     rounds_run = len(hypotheses)
     uncovered = tuple(int(i) for i in np.nonzero(residual)[0])
@@ -153,16 +132,14 @@ def replay_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                         recorded_slots, gamma: Optional[float] = None) -> HintResult:
     """Rebuild a hint from recorded per-round sample indices, verifying fingerprints."""
     recorded = [np.asarray(s.indices, dtype=np.int64) for s in recorded_slots]
-    hashes = [s.pred_hash for s in recorded_slots]
 
     def index_source(j, dist):
         if j - 1 >= len(recorded):
-            from .errors import NonDeterministicLearner
-
             raise NonDeterministicLearner(
                 f"hint replay needs round {j} but only {len(recorded)} were recorded"
             )
         return recorded[j - 1]
 
-    return _hint_core(dataset, spec, p, index_source, gamma, None,
-                      expected_hashes=hashes)
+    result = _hint_core(dataset, spec, p, index_source, gamma, None)
+    check_fingerprints(recorded_slots, [s.pred_hash for s in result.slots], "hint")
+    return result

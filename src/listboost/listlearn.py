@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compression import CompressionRecord, HypothesisSlot, RecordGroup
+from .compression import CompressionRecord, RecordGroup
 from .core import (
     Dataset,
     ListFunction,
@@ -36,7 +36,7 @@ from .errors import (
     PhaseFailure,
 )
 from .hedge import HedgeResult, replay_hedge, run_hedge
-from .recursive import round_digests, verified_round_digests
+from .recursive import round_slots
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
 
 
@@ -48,6 +48,16 @@ def smallest_k(gamma: float) -> int:
     while not (1.0 / k < gamma):
         k += 1
     return k
+
+
+def conversion_budgets(k: int, epsilon: float, delta: float) -> tuple:
+    """Candidate count q = ceil(2k ln(2/delta)) and validation size r_val.
+
+    r_val = ceil(10 ln(2q/delta) / (epsilon/k)^2).
+    """
+    q = math.ceil(2.0 * k * math.log(2.0 / delta))
+    r_val = math.ceil(10.0 * math.log(2.0 * q / delta) / (epsilon / k)**2)
+    return q, r_val
 
 
 @dataclass(frozen=True)
@@ -71,11 +81,9 @@ class ConversionParams:
         k = smallest_k(self.gamma)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "sigma", self.gamma - 1.0 / k)
-        eps_prime = self.epsilon / k
-        object.__setattr__(self, "eps_prime", eps_prime)
-        q = math.ceil(2.0 * k * math.log(2.0 / self.delta))
+        object.__setattr__(self, "eps_prime", self.epsilon / k)
+        q, r_val = conversion_budgets(k, self.epsilon, self.delta)
         object.__setattr__(self, "q", q)
-        r_val = math.ceil(10.0 * math.log(2.0 * q / self.delta) / eps_prime**2)
         object.__setattr__(self, "r_val", r_val)
 
 
@@ -103,9 +111,11 @@ class WeakToListResult:
         return self.mu(x)
 
 
-def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, digests: list,
+def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, slots: list,
                            gamma: float, k: int, sigma: float, T: int, eta: float,
                            spec: WeakLearnerSpec, seed: int) -> WeakToListResult:
+    if len(slots) != T:
+        raise InvalidParams(f"record group rounds has {len(slots)} rounds, not T={T}")
     score = result.score
     entries = {x: _vote_entry(score.counts(x), k, T) for x in dataset.unique_instances}
     missed = sum(
@@ -124,10 +134,6 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, digests: list,
 
     mu = ListFunction.composed(extend, declared_size=max(1, k - 1), entries=entries,
                                name=f"weak-to-list[k={k}]")
-    slots = [
-        HypothesisSlot(slot=t, indices=result.rounds[t].indices, pred_hash=digests[t])
-        for t in range(len(result.rounds))
-    ]
     meta = {
         "gamma": gamma,
         "k": k,
@@ -164,8 +170,8 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
     rs = RandomStream(seed, ("weak-to-list",))
     result = run_hedge(dataset, mu0, spec, T, eta, rs.child("rounds"), gamma=gamma,
                        audit_log=audit_log, audit_tag="w2l:")
-    return _assemble_weak_to_list(dataset, result, round_digests(result.score), gamma, k,
-                                  sigma, T, eta, spec, seed)
+    return _assemble_weak_to_list(dataset, result, round_slots(result), gamma, k, sigma,
+                                  T, eta, spec, seed)
 
 
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
@@ -177,8 +183,8 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
                           meta["eta"], gamma=meta["gamma"], audit_tag="w2l:")
-    digests = verified_round_digests(result.score, group.slots)
-    return _assemble_weak_to_list(dataset, result, digests, meta["gamma"], int(meta["k"]),
+    slots = round_slots(result, group.slots, group.tag)
+    return _assemble_weak_to_list(dataset, result, slots, meta["gamma"], int(meta["k"]),
                                   meta["sigma"], int(meta["T"]), meta["eta"],
                                   effective, int(meta["seed"]))
 
@@ -266,9 +272,7 @@ def list_to_weak(dataset: Dataset, list_learner: ListLearner, k: int,
         raise InvalidParams(f"epsilon must be in (0, 1/2), got {epsilon!r}")
     if not (0.0 < delta < 1.0):
         raise InvalidParams(f"delta must be in (0, 1), got {delta!r}")
-    q = math.ceil(2.0 * k * math.log(2.0 / delta))
-    eps_prime = epsilon / k
-    r_val = math.ceil(10.0 * math.log(2.0 * q / delta) / eps_prime**2)
+    q, r_val = conversion_budgets(k, epsilon, delta)
     m = dataset.m
     block = (m - r_val) // q
     if r_val >= m or block < max(1, list_learner.min_sample):
@@ -361,9 +365,7 @@ def list_boost(dataset: Dataset, list_learner: ListLearner, k0: int, eps0: float
     derived = ListDerivedWeakLearner(list_learner, k0, eps_for_conversion, delta,
                                      dataset.alphabet, base_seed=seed)
     if m0 is None:
-        q = math.ceil(2.0 * k0 * math.log(2.0 / delta))
-        eps_prime = eps_for_conversion / k0
-        r_val = math.ceil(10.0 * math.log(2.0 * q / delta) / eps_prime**2)
+        q, r_val = conversion_budgets(k0, eps_for_conversion, delta)
         m0 = q * max(1, list_learner.min_sample) + r_val
     spec = WeakLearnerSpec(derived, m0)
     inner = weak_to_list(dataset, spec, gamma, T=T, seed=seed, audit_log=audit_log)

@@ -12,12 +12,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
+from .compression import (
+    CompressionRecord,
+    HypothesisSlot,
+    RecordGroup,
+    check_fingerprints,
+    compression_size,
+)
 from .core import (
     Dataset,
     ListFunction,
@@ -25,6 +32,7 @@ from .core import (
     as_instance_key,
     make_dataset,
     ordered_dedup,
+    stable_digest,
 )
 from .errors import (
     BudgetExceeded,
@@ -165,10 +173,6 @@ class OneInclusionGraph:
     def n_vertices(self) -> int:
         return self.fc.size
 
-    @property
-    def n_directions(self) -> int:
-        return self.fc.n
-
     def edge_id(self, direction: int, off: tuple):
         return self._edge_lookup.get((direction, tuple(off)))
 
@@ -209,13 +213,6 @@ class Orientation:
     max_out_degree: int
     strategy: str
     optimal: bool
-
-    def out_degree(self, graph: OneInclusionGraph, vertex: int) -> int:
-        return sum(
-            1
-            for eid in graph.incident[vertex]
-            if vertex not in self.sigma[eid]
-        )
 
 
 def _out_degrees(graph: OneInclusionGraph, sigma) -> np.ndarray:
@@ -487,7 +484,7 @@ class CoverRound:
 @dataclass
 class CoverResult:
     mu: ListFunction
-    record_group: "RecordGroup"
+    record_group: RecordGroup
     q: int
     d: int
     rounds: list  # CoverRound per executed round
@@ -506,8 +503,6 @@ def _cover_round_mu(fc: FiniteClass, dataset: Dataset, indices, k: int,
 
 
 def _lists_digest(mu: ListFunction, dataset: Dataset) -> str:
-    from .core import stable_digest
-
     return stable_digest(tuple(mu(x) for x in dataset.unique_instances))
 
 
@@ -533,8 +528,6 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
     scores each distinct set of labelled examples once, at each distinct
     surviving instance.
     """
-    from .compression import HypothesisSlot, RecordGroup
-
     if d is None:
         d = kds_dimension(fc, k)
     if d < 0:
@@ -613,7 +606,7 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
 @dataclass
 class WrongLabelResult:
     mu: ListFunction
-    record_group: "RecordGroup"
+    record_group: RecordGroup
     p: int
     n_u: int
     ell: int
@@ -629,15 +622,28 @@ def _min_excluded(labels: tuple, p: int) -> int:
     raise InvalidParams("list already spans all labels")
 
 
-def _wrong_label_argmax(vote_counts: np.ndarray) -> np.ndarray:
-    return np.argmax(vote_counts, axis=1)  # first max = lowest label id
+def _slot_predictions(fc: FiniteClass, sample, uniq, p: int, strategy: str,
+                      budget: int):
+    """Each unique instance's (p-1)-list under the sample, and its min-excluded label."""
+    lists = [one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy,
+                                        budget=budget).labels for x in uniq]
+    return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
 
 
-def _vote_mu(fc: FiniteClass, dataset: Dataset, slot_samples, slot_counts, p: int,
-             k_list: int, strategy: str, budget: int, argmax_rows: np.ndarray,
-             name: str) -> ListFunction:
-    """List function removing the plurality wrong-label vote at each instance."""
+def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_samples, slot_preds, draws,
+                      p: int, strategy: str, budget: int):
+    """Tally the drawn slots' wrong-label votes; the list drops each instance's plurality.
+
+    Returns the (unique instances x p) vote counts, the plurality label per
+    unique instance (ties to the lowest label) and the list function.
+    """
     uniq = dataset.unique_instances
+    slot_counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=len(slot_samples))
+    vote_counts = np.zeros((len(uniq), p), dtype=np.int64)
+    for sid, cnt in enumerate(slot_counts):
+        if cnt:
+            np.add.at(vote_counts, (np.arange(len(uniq)), slot_preds[sid]), int(cnt))
+    argmax_rows = np.argmax(vote_counts, axis=1)
     entries = {
         x: tuple(y for y in range(p) if y != int(argmax_rows[g]))
         for g, x in enumerate(uniq)
@@ -647,14 +653,15 @@ def _vote_mu(fc: FiniteClass, dataset: Dataset, slot_samples, slot_counts, p: in
     def extend(x):
         votes = np.zeros(p, dtype=np.int64)
         for sample, cnt in supports:
-            pred = one_inclusion_list_predict(fc, sample, x, k_list, strategy=strategy,
+            pred = one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy,
                                               budget=budget)
             votes[_min_excluded(pred.labels, p)] += cnt
         top = int(np.argmax(votes))
         return tuple(y for y in range(p) if y != top)
 
-    return ListFunction.composed(extend, declared_size=max(1, p - 1), entries=entries,
-                                 name=name)
+    mu = ListFunction.composed(extend, declared_size=max(1, p - 1), entries=entries,
+                               name=f"wrong-label[p={p}]")
+    return vote_counts, argmax_rows, mu
 
 
 def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
@@ -672,9 +679,6 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     ell draws from the answer bag then pin down, per instance, one label that
     cannot be the true one.
     """
-    from .compression import HypothesisSlot, RecordGroup
-    from .core import stable_digest
-
     p = len(fc.alphabet)
     if p < 2:
         raise InvalidParams("wrong-label game needs at least two labels")
@@ -683,7 +687,6 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     gid = dataset.group_ids
     labels = dataset.labels
     rng = rng if rng is not None else RandomStream(0, ("wrong-label",))
-    k_list = p - 1
     n_u = 4 * p * d
     target = 1.0 - 1.0 / (4.0 * p)
     eta = math.sqrt(math.log(max(m, 2)) / (2.0 * max(game_iters, 1)))
@@ -701,19 +704,12 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
         key = tuple(int(i) for i in indices)
         if key in slot_by_key:
             return slot_by_key[key]
-        sample = [dataset.examples[i] for i in key]
-        preds = np.empty(len(uniq), dtype=np.int64)
-        covers_u = np.empty(len(uniq), dtype=bool)
-        lists = {}
-        for g, x in enumerate(uniq):
-            pr = one_inclusion_list_predict(fc, sample, x, k_list, strategy=strategy,
-                                            budget=orient_budget)
-            lists[g] = set(pr.labels)
-            preds[g] = _min_excluded(pr.labels, p)
+        sample = tuple(dataset.examples[i] for i in key)
+        lists, preds = _slot_predictions(fc, sample, uniq, p, strategy, orient_budget)
         covers = np.array([int(labels[i]) in lists[gid[i]] for i in range(m)], dtype=bool)
         sid = len(slot_samples)
         slot_by_key[key] = sid
-        slot_samples.append(tuple(sample))
+        slot_samples.append(sample)
         slot_indices.append(key)
         slot_preds.append(preds)
         slot_covers.append(covers)
@@ -741,12 +737,8 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     ell = math.ceil(8.0 * p * p * math.log(max(2 * m, 2)))
     draw_gen = rng.child("draws").generator()
     draws = [bag[int(i)] for i in draw_gen.integers(len(bag), size=ell)]
-    slot_counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=len(slot_samples))
-    vote_counts = np.zeros((len(uniq), p), dtype=np.int64)
-    for sid, cnt in enumerate(slot_counts):
-        if cnt:
-            np.add.at(vote_counts, (np.arange(len(uniq)), slot_preds[sid]), int(cnt))
-    argmax_rows = _wrong_label_argmax(vote_counts)
+    vote_counts, argmax_rows, mu = _wrong_label_vote(fc, dataset, slot_samples, slot_preds,
+                                                     draws, p, strategy, orient_budget)
     bad = [i for i in range(m) if int(labels[i]) == int(argmax_rows[gid[i]])]
     max_true_vote = float(
         max(vote_counts[gid[i], int(labels[i])] for i in range(m)) / ell
@@ -756,11 +748,9 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
             f"wrong-label vote hit the true label on {len(bad)} of {m} example(s); "
             f"max true-label vote mass {max_true_vote:.4f} (threshold {1.0 / (2 * p):.4f})"
         )
-    mu = _vote_mu(fc, dataset, slot_samples, slot_counts, p, k_list, strategy,
-                  orient_budget, argmax_rows, name=f"wrong-label[p={p}]")
     slots = [
         HypothesisSlot(slot=sid, indices=slot_indices[sid],
-                       pred_hash=stable_digest(tuple(int(v) for v in slot_preds[sid])))
+                       pred_hash=stable_digest(tuple(slot_preds[sid].tolist())))
         for sid in range(len(slot_samples))
     ]
     group = RecordGroup(tag=tag, slots=slots, draws=list(map(int, draws)))
@@ -785,7 +775,7 @@ class ListPacRound:
 @dataclass
 class ListPacResult:
     mu: ListFunction
-    record: "CompressionRecord"
+    record: CompressionRecord
     cover: CoverResult
     rounds: list  # ListPacRound per executed round
     k: int
@@ -801,7 +791,7 @@ class ListPacResult:
 
     @property
     def compression_size(self) -> int:
-        return sum(g.size() for g in self.record.groups)
+        return compression_size(self.record)
 
 
 def _relabel_round(fc: FiniteClass, dataset: Dataset, mu: ListFunction, p_j: int):
@@ -885,8 +875,6 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
     everything needed to replay the run deterministically goes into the
     returned record.
     """
-    from .compression import CompressionRecord
-
     if k < 1:
         raise InvalidParams(f"list size k must be at least 1, got {k!r}")
     _check_realizable(fc, dataset)
@@ -940,15 +928,13 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
                          consistent_on_train=consistent)
 
 
-def replay_list_pac(record: "CompressionRecord", dataset: Dataset,
+def replay_list_pac(record: CompressionRecord, dataset: Dataset,
                     finite_class: FiniteClass) -> ListFunction:
     """Rebuild the k-list from a record, the sample, and the class it came from.
 
     Every replayed hypothesis is re-fingerprinted against the recorded hash;
     any disagreement raises NonDeterministicLearner.
     """
-    from .errors import NonDeterministicLearner
-
     meta = record.meta
     fc = finite_class
     if fc is None:
@@ -956,53 +942,27 @@ def replay_list_pac(record: "CompressionRecord", dataset: Dataset,
     if meta.get("class_fingerprint") != fc.fingerprint:
         raise InvalidParams("record was built from a different finite class")
     k = int(meta["k"])
-    d = int(meta["d"])
     p = int(meta["p"])
     q = int(meta["q"])
     strategy = meta.get("strategy", "auto")
     orient_budget = int(meta.get("orient_budget", 10**6))
-    round_mus = []
-    for slot in record.group("cover").slots:
-        mu_s = _cover_round_mu(fc, dataset, tuple(slot.indices), k, strategy,
-                               orient_budget)
-        if slot.pred_hash and _lists_digest(mu_s, dataset) != slot.pred_hash:
-            raise NonDeterministicLearner(
-                f"cover slot {slot.slot}: replayed lists disagree with the record"
-            )
-        round_mus.append(mu_s)
+    cover_slots = record.group("cover").slots
+    round_mus = [_cover_round_mu(fc, dataset, tuple(s.indices), k, strategy, orient_budget)
+                 for s in cover_slots]
+    check_fingerprints(cover_slots, [_lists_digest(mu_s, dataset) for mu_s in round_mus],
+                       "cover")
     mu = _concat_mu(round_mus, max(1, k * q), dataset, name=f"cover[p={k * q}]")
-    from .core import stable_digest
-
     for j in range(1, int(meta["rounds_run"]) + 1):
         group = record.group(f"round:{j}")
         p_j = p - j + 1
         sub_fc, sub_dataset = _relabel_round(fc, dataset, mu, p_j)
         uniq = sub_dataset.unique_instances
-        slot_samples = []
-        slot_preds = []
-        for slot in group.slots:
-            sample = tuple(sub_dataset.examples[i] for i in slot.indices)
-            preds = np.empty(len(uniq), dtype=np.int64)
-            for g, x in enumerate(uniq):
-                pr = one_inclusion_list_predict(sub_fc, sample, x, p_j - 1,
-                                                strategy=strategy, budget=orient_budget)
-                preds[g] = _min_excluded(pr.labels, p_j)
-            if slot.pred_hash and stable_digest(tuple(int(v) for v in preds)) != slot.pred_hash:
-                raise NonDeterministicLearner(
-                    f"round {j} slot {slot.slot}: replayed wrong-label predictions "
-                    f"disagree with the record"
-                )
-            slot_samples.append(sample)
-            slot_preds.append(preds)
-        slot_counts = np.bincount(np.asarray(group.draws, dtype=np.int64),
-                                  minlength=len(group.slots))
-        vote_counts = np.zeros((len(uniq), p_j), dtype=np.int64)
-        for sid, cnt in enumerate(slot_counts):
-            if cnt:
-                np.add.at(vote_counts, (np.arange(len(uniq)), slot_preds[sid]), int(cnt))
-        argmax_rows = _wrong_label_argmax(vote_counts)
-        tilde = _vote_mu(sub_fc, sub_dataset, slot_samples, slot_counts, p_j,
-                         p_j - 1, strategy, orient_budget, argmax_rows,
-                         name=f"wrong-label[p={p_j}]")
+        samples = [tuple(sub_dataset.examples[i] for i in s.indices) for s in group.slots]
+        preds = [_slot_predictions(sub_fc, sample, uniq, p_j, strategy, orient_budget)[1]
+                 for sample in samples]
+        check_fingerprints(group.slots, [stable_digest(tuple(v.tolist())) for v in preds],
+                           group.tag)
+        _, _, tilde = _wrong_label_vote(sub_fc, sub_dataset, samples, preds, group.draws,
+                                        p_j, strategy, orient_budget)
         mu = _position_filter_mu(mu, tilde, p - j, dataset, name=f"listpac-mu[{j + 1}]")
     return _truncated_mu(mu, k, dataset, name=f"listpac[k={k}]")

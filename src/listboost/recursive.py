@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Dataset, ListFunction, RandomStream, stable_digest
-from .compression import CompressionRecord, HypothesisSlot, RecordGroup, compression_size
-from .errors import (
-    GammaExhausted,
-    InvalidGamma,
-    InvalidParams,
-    NonDeterministicLearner,
-    PhaseFailure,
+from .compression import (
+    CompressionRecord,
+    HypothesisSlot,
+    RecordGroup,
+    check_fingerprints,
+    compression_size,
 )
-from .hedge import ScoreTable, replay_hedge, run_hedge
+from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
+from .hedge import HedgeResult, ScoreTable, replay_hedge, run_hedge
 from .hint import build_initial_hint, default_hint_rounds, replay_initial_hint
 from .weak_learn import BrgAuditLog, WeakLearnerSpec
 
@@ -93,9 +93,6 @@ class StagedListChain:
     def realized_phases(self) -> int:
         return len(self.scores)
 
-    def final_list(self, x) -> tuple:
-        return self.lists[-1](x)
-
     def predict(self, x) -> int:
         """Singleton final list wins; otherwise fall back to the last score table."""
         final = self.lists[-1](x)
@@ -109,20 +106,16 @@ class StagedListChain:
         return int(min(candidates, key=lambda y: (-table.score(x, y), y)))
 
 
-def round_digests(score: ScoreTable) -> list:
-    """Each round's fingerprint: the digest of its prediction row, a slot's pred_hash."""
-    return [stable_digest(tuple(row)) for row in score.predictions.tolist()]
+def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
+    """A Hedge run's record slots, one per round, checked against ``recorded`` first.
 
-
-def verified_round_digests(score: ScoreTable, slots, where: str = "") -> list:
-    """Each replayed round's fingerprint, checked against the recorded slots first."""
-    digests = round_digests(score)
-    for t, (slot, got) in enumerate(zip(slots, digests)):
-        if slot.pred_hash and got != slot.pred_hash:
-            raise NonDeterministicLearner(
-                f"{where}round {t + 1}: replayed hypothesis diverged from the record"
-            )
-    return digests
+    Each round is hashed once, over its prediction row; training records
+    nothing to check against, so it passes no slots.
+    """
+    digests = [stable_digest(tuple(row)) for row in result.score.predictions.tolist()]
+    check_fingerprints(recorded, digests, where)
+    return [HypothesisSlot(slot=t, indices=r.indices, pred_hash=digest)
+            for t, (r, digest) in enumerate(zip(result.rounds, digests))]
 
 
 @dataclass
@@ -181,7 +174,9 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     for j in range(1, p):
         if all(len(lst) <= 1 for lst in cur_lists.values()):
             break
-        result, digests = phase_runner(j, lists[-1])
+        result, slots = phase_runner(j, lists[-1])
+        if len(slots) != T:
+            raise InvalidParams(f"record group phase-{j} has {len(slots)} rounds, not T={T}")
         oracle_calls += T
         denom = p - j + 1
         new_entries = _shrink_entries(cur_lists, result.score, T, denom)
@@ -195,10 +190,6 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         declared = max(1, p - j, max((len(v) for v in new_entries.values()), default=1))
         nxt = _make_stage_list(lists[-1], result.score, T, denom, new_entries,
                                declared, name=f"stage[{j + 1}]")
-        slots = [
-            HypothesisSlot(slot=t, indices=result.rounds[t].indices, pred_hash=digests[t])
-            for t in range(T)
-        ]
         phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
         phase_traces.append(result.trace_rows())
         scores.append(result.score)
@@ -248,7 +239,7 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
         result = run_hedge(dataset, mu_j, effective, config.T, config.eta,
                            rs.child("phase", j), gamma=config.gamma,
                            audit_log=audit_log, audit_tag=f"phase{j}:")
-        return result, round_digests(result.score)
+        return result, round_slots(result)
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 
@@ -271,7 +262,7 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
                               audit_tag=f"phase{j}:")
-        return result, verified_round_digests(result.score, group.slots, f"phase {j} ")
+        return result, round_slots(result, group.slots, group.tag)
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 

@@ -21,7 +21,7 @@ and are flagged as such.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -92,6 +92,16 @@ class WeakLearnerSpec:
             raise InvalidParams("m0 must be at least 1")
 
 
+def coverage_mask(dataset: Dataset, mu: ListFunction) -> np.ndarray:
+    """Per example: is its true label in its own hint list?"""
+    if mu.is_universal:
+        return np.ones(dataset.m, dtype=bool)
+    lists = [mu(x) for x in dataset.unique_instances]
+    gid = dataset.group_ids
+    return np.array([dataset.labels[i] in lists[gid[i]] for i in range(dataset.m)],
+                    dtype=bool)
+
+
 class TrainContext:
     """Precomputed per-phase views handed to distribution-aware learners.
 
@@ -106,7 +116,6 @@ class TrainContext:
         uniq = dataset.unique_instances
         self.unique_lists = tuple(mu(x) for x in uniq)
         gid = dataset.group_ids
-        covered_group = np.zeros(len(uniq), dtype=bool)
         # majority label per unique instance (ties -> smallest label)
         self.group_label = np.empty(len(uniq), dtype=np.int64)
         labels = dataset.labels
@@ -114,15 +123,7 @@ class TrainContext:
             ys = labels[gid == g]
             vals, counts = np.unique(ys, return_counts=True)
             self.group_label[g] = int(vals[np.argmax(counts)])
-        for g, lst in enumerate(self.unique_lists):
-            covered_group[g] = True if mu.is_universal else (self.group_label[g] in lst)
-        # per-example coverage: true label in its own hint list
-        if mu.is_universal:
-            self.covered = np.ones(dataset.m, dtype=bool)
-        else:
-            self.covered = np.array(
-                [labels[i] in self.unique_lists[gid[i]] for i in range(dataset.m)], dtype=bool
-            )
+        self.covered = coverage_mask(dataset, mu)
         # a deterministic wrong label per unique instance: first hint label
         # that disagrees with the majority label, else first alphabet label
         self.group_wrong = np.empty(len(uniq), dtype=np.int64)
@@ -216,14 +217,7 @@ def audit_brg(hypothesis: WeakHypothesis, dataset: Dataset, dist: ExampleDistrib
     w = dist.weights
     preds = hypothesis.predictions_for(dataset)
     correct_mass = float(w[preds == dataset.labels].sum())
-    if mu.is_universal:
-        coverage = 1.0
-    else:
-        cov = np.array(
-            [dataset.labels[i] in mu(x) for i, x in enumerate(dataset.instances)],
-            dtype=bool,
-        )
-        coverage = float(w[cov].sum())
+    coverage = float(w[coverage_mask(dataset, mu)].sum())
     audit = audit_from_arrays(correct_mass, coverage, mu, gamma, tag=tag)
     if log is not None:
         log.append(audit)

@@ -70,6 +70,16 @@ def test_hint_subcommand(planted_files, capsys):
     assert row["rounds_run"] >= 1
 
 
+@pytest.mark.parametrize("command", ["hint", "boost"])
+@pytest.mark.parametrize("gamma", ["0", "-0.5"])
+def test_out_of_range_gamma_is_reported(planted_files, capsys, command, gamma):
+    data, cls = planted_files
+    rc = main([command, "--data", str(data), "--class-file", str(cls),
+               "--learner", "erm", "--gamma", gamma])
+    assert rc == 1
+    assert _lines(capsys)[-1]["error"] == "InvalidGamma"
+
+
 def test_audit_rows(planted_files, capsys):
     data, cls = planted_files
     rc = main(["audit", "--data", str(data), "--class-file", str(cls),

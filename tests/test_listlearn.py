@@ -12,6 +12,7 @@ from listboost import (
     ErmListLearner,
     InsufficientData,
     InvalidGamma,
+    InvalidParams,
     ListDerivedWeakLearner,
     NonDeterministicLearner,
     PhaseFailure,
@@ -106,6 +107,10 @@ def test_weak_to_list_replay_and_tamper(planted):
     slots = loaded.group("rounds").slots
     slots[3] = type(slots[3])(slot=3, indices=slots[3].indices, pred_hash="bad")
     with pytest.raises(NonDeterministicLearner):
+        replay_weak_to_list(loaded, ds, spec)
+
+    del slots[3:]
+    with pytest.raises(InvalidParams, match="rounds"):
         replay_weak_to_list(loaded, ds, spec)
 
 

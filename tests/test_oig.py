@@ -306,12 +306,13 @@ def test_replay_list_pac_round_trip(catalog):
     for c in fc.columns:
         assert rep(c) == res.mu(c)
 
-    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
-    slots = loaded.group("cover").slots
-    slots[0] = type(slots[0])(slot=slots[0].slot, indices=slots[0].indices,
-                              pred_hash="f" * len(slots[0].pred_hash))
-    with pytest.raises(NonDeterministicLearner):
-        replay_list_pac(loaded, ds, fc)
+    for tag in ("cover", "round:1"):
+        loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+        slots = loaded.group(tag).slots
+        slots[0] = type(slots[0])(slot=slots[0].slot, indices=slots[0].indices,
+                                  pred_hash="f" * len(slots[0].pred_hash))
+        with pytest.raises(NonDeterministicLearner, match=f"{tag} slot 0"):
+            replay_list_pac(loaded, ds, fc)
 
 
 def test_replay_list_pac_guards(catalog):

@@ -10,6 +10,7 @@ from listboost import (
     CalibratedBrgOracle,
     ErmFiniteLearner,
     GammaExhausted,
+    InvalidParams,
     PhaseFailure,
     RandomStream,
     TooWeakLearner,
@@ -143,6 +144,19 @@ def test_replay_reproduces_and_detects_tampering(planted):
     from listboost import NonDeterministicLearner
 
     with pytest.raises(NonDeterministicLearner):
+        replay_boost(loaded, ds, spec)
+
+
+def test_replay_rejects_a_phase_shorter_than_T():
+    fc = build_class([(0, 1, 0, 2), (1, 1, 0, 2), (0, 0, 2, 1)],
+                     alphabet=(0, 1, 2))
+    ds = planted_dataset(fc, m=25, seed=8)
+    spec = WeakLearnerSpec(CalibratedBrgOracle(gamma=0.4, margin=0.05), m0=ds.m)
+    res = recursive_boost(ds, spec, BoostConfig.from_defaults(m=ds.m, gamma=0.4, seed=5))
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    phase = loaded.group("phase-1")
+    phase.slots = phase.slots[:-1]
+    with pytest.raises(InvalidParams, match="phase-1"):
         replay_boost(loaded, ds, spec)
 
 

@@ -136,7 +136,7 @@ def _cmd_boost(args) -> int:
         "oracle_calls": res.oracle_calls,
         "r": r,
         "epsilon": eps,
-        "phases": len(res.phase_traces),
+        "phases": res.chain.realized_phases,
         "hint_rounds": res.hint_result.rounds_run,
     })
     if args.record:

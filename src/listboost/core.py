@@ -140,10 +140,6 @@ class ExampleDistribution:
     def size(self) -> int:
         return int(self.weights.size)
 
-    def entropy(self) -> float:
-        w = self.weights[self.weights > 0]
-        return float(-(w * np.log(w)).sum())
-
 
 def normalize(weights) -> ExampleDistribution:
     """Scale non-negative weights to a probability vector whose sum is exactly 1.

@@ -7,6 +7,11 @@ example's weight by exp(-eta). The per-round accuracy alpha_t is always
 measured on the full weighted dataset, not the drawn sample. The score table
 counts, for every (instance, label), how many rounds voted that label; row
 sums equal the round count exactly because every hypothesis casts one vote.
+
+The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
+a correctly classified example's weight drops to zero and stays there, and
+the loop stops early once no weight is left. The public entry points accept
+only a positive finite eta.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Dataset, ListFunction, RandomStream, normalize
-from .errors import EmptyCandidates, InvalidParams
+from .compression import HypothesisSlot, check_fingerprints
+from .core import Dataset, ListFunction, RandomStream, normalize, stable_digest
+from .errors import EmptyCandidates, InvalidParams, NonDeterministicLearner
 from .weak_learn import (
     BrgAudit,
     BrgAuditLog,
@@ -39,7 +45,7 @@ class ScoreTable:
     def __init__(self, hypotheses, dataset: Dataset, predictions: np.ndarray):
         self.hypotheses = list(hypotheses)
         self.train_dataset = dataset
-        self.predictions = predictions  # shape (T, m)
+        self.predictions = predictions  # shape (rounds run, m)
         self._rep = None
         self._train_counts = {}
         self._extra_counts = {}
@@ -76,10 +82,8 @@ class ScoreTable:
 class HedgeRound:
     t: int
     alpha: float
-    entropy: float
     indices: tuple
     audit: Optional[BrgAudit]
-    hypothesis_source: str
 
 
 @dataclass
@@ -111,27 +115,58 @@ class HedgeResult:
         rhs = self.regret_bound_rhs()
         return bool(np.all(lhs <= rhs + rel_tol * np.maximum(1.0, np.abs(rhs))))
 
-    def trace_rows(self) -> list:
-        rows = []
-        for r in self.rounds:
-            rows.append(
-                {
-                    "t": r.t,
-                    "alpha_t": r.alpha,
-                    "weight_entropy": r.entropy,
-                    "audit_pass": (None if r.audit is None else bool(r.audit.passed)),
-                }
+
+def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
+    """A Hedge run's record slots, one per round, checked against ``recorded`` first.
+
+    Each round is hashed once, over its prediction row; training records
+    nothing to check against, so it passes no slots.
+    """
+    digests = [stable_digest(tuple(row)) for row in result.score.predictions.tolist()]
+    check_fingerprints(recorded, digests, where)
+    return [HypothesisSlot(slot=t, indices=r.indices, pred_hash=digest)
+            for t, (r, digest) in enumerate(zip(result.rounds, digests))]
+
+
+def _drawn_indices(rng: RandomStream, tag: str, m: int, m0: int) -> Callable:
+    """Round t draws m0 indices i.i.d. from its distribution, seeded by (tag, t)."""
+
+    def draw(t, dist):
+        gen = rng.child(tag, t).generator()
+        return gen.choice(m, size=m0, replace=True, p=dist.weights)
+
+    return draw
+
+
+def _recorded_indices(recorded_indices) -> Callable:
+    """Round t replays the t-th recorded sample; a round past the last one raises."""
+    recorded = [np.asarray(ix, dtype=np.int64) for ix in recorded_indices]
+
+    def replay(t, dist):
+        if t > len(recorded):
+            raise NonDeterministicLearner(
+                f"replay needs round {t} but only {len(recorded)} were recorded"
             )
-        return rows
+        return recorded[t - 1]
+
+    return replay
+
+
+def _check_eta(eta: float):
+    if not (eta > 0.0) or not np.isfinite(eta):
+        raise InvalidParams(f"eta must be a positive finite float, got {eta!r}")
 
 
 def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
                 eta: float, index_source: Callable, gamma: Optional[float],
                 audit_log: Optional[BrgAuditLog], audit_tag: str) -> HedgeResult:
+    """Up to T rounds; audit tags are ``audit_tag`` followed by the round number.
+
+    With eta = inf a correct example's log-weight becomes -inf, and the loop
+    stops before a round that would find no weight left.
+    """
     if T < 1:
         raise InvalidParams("round count T must be at least 1")
-    if not (eta > 0.0) or not np.isfinite(eta):
-        raise InvalidParams(f"eta must be a positive finite float, got {eta!r}")
     m = dataset.m
     labels = dataset.labels
     learner = spec.learner
@@ -144,8 +179,10 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
     rounds = []
     hypotheses = []
     for t in range(1, T + 1):
-        shifted = np.exp(log_w - log_w.max())
-        dist = normalize(shifted)
+        top = log_w.max()
+        if top == -np.inf:
+            break
+        dist = normalize(np.exp(log_w - top))
         w = dist.weights
         indices = index_source(t, dist)
         sample = dataset.subset(indices)
@@ -159,31 +196,24 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
         audit = None
         if gamma is not None:
             coverage = float(w[covered].sum())
-            audit = audit_from_arrays(alpha, coverage, mu, gamma, tag=f"{audit_tag}t{t}")
+            audit = audit_from_arrays(alpha, coverage, mu, gamma, tag=f"{audit_tag}{t}")
             if audit_log is not None:
                 audit_log.append(audit)
-        log_w = log_w - eta * correct
+        log_w[correct] -= eta
         predictions[t - 1] = preds
         alphas[t - 1] = alpha
         correct_counts += correct
         hypotheses.append(h)
-        rounds.append(
-            HedgeRound(
-                t=t,
-                alpha=alpha,
-                entropy=dist.entropy(),
-                indices=tuple(int(i) for i in indices),
-                audit=audit,
-                hypothesis_source=h.source,
-            )
-        )
-    score = ScoreTable(hypotheses, dataset, predictions)
+        rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(int(i) for i in indices),
+                                 audit=audit))
+    run = len(rounds)
+    score = ScoreTable(hypotheses, dataset, predictions[:run])
     return HedgeResult(
         score=score,
         rounds=rounds,
         eta=eta,
         final_log_weights=log_w,
-        alphas=alphas,
+        alphas=alphas[:run],
         correct_counts=correct_counts,
     )
 
@@ -192,25 +222,19 @@ def run_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
               eta: float, rng: RandomStream, gamma: Optional[float] = None,
               audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "") -> HedgeResult:
     """Run T multiplicative-weights rounds, sampling each round's training set."""
-
-    def index_source(t, dist):
-        gen = rng.child("round", t).generator()
-        return gen.choice(dataset.m, size=spec.m0, replace=True, p=dist.weights)
-
-    return _run_rounds(dataset, mu, spec, T, eta, index_source, gamma, audit_log, audit_tag)
+    _check_eta(eta)
+    draw = _drawn_indices(rng, "round", dataset.m, spec.m0)
+    return _run_rounds(dataset, mu, spec, T, eta, draw, gamma, audit_log, f"{audit_tag}t")
 
 
 def replay_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec,
                  recorded_indices, eta: float, gamma: Optional[float] = None,
                  audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "") -> HedgeResult:
     """Re-run rounds on previously recorded per-round sample indices."""
-    recorded = [np.asarray(ix, dtype=np.int64) for ix in recorded_indices]
-
-    def index_source(t, dist):
-        return recorded[t - 1]
-
-    return _run_rounds(dataset, mu, spec, len(recorded), eta, index_source, gamma,
-                       audit_log, audit_tag)
+    _check_eta(eta)
+    recorded = list(recorded_indices)
+    return _run_rounds(dataset, mu, spec, len(recorded), eta, _recorded_indices(recorded),
+                       gamma, audit_log, f"{audit_tag}t")
 
 
 def eliminate_min_label(score: ScoreTable, instance, candidates) -> int:

@@ -8,6 +8,11 @@ empty, because the residual shrinks by a (1 - gamma) factor each time. The
 hint list of an instance is the ordered deduplicated sequence of the round
 hypotheses' predictions on it, so every peeled example's true label appears
 in its own list.
+
+Peeling is Hedge's round loop (``hedge._run_rounds``) at eta = infinity: a
+correct example's weight drops to zero and stays there, so each round's
+distribution is uniform on the residual, and the loop stops early once the
+residual is empty.
 """
 
 from __future__ import annotations
@@ -18,17 +23,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    Dataset,
-    ListFunction,
-    RandomStream,
-    normalize,
-    ordered_dedup,
-    stable_digest,
-)
-from .compression import HypothesisSlot, RecordGroup, check_fingerprints
-from .errors import InvalidGamma, InvalidParams, NonDeterministicLearner
-from .weak_learn import BrgAuditLog, TrainContext, WeakLearnerSpec, audit_from_arrays
+# bench/spans.py wraps normalize, stable_digest and audit_from_arrays in this
+# module, which does not call them.
+from .core import Dataset, ListFunction, RandomStream, normalize, ordered_dedup, stable_digest
+from .compression import RecordGroup
+from .errors import InvalidGamma
+from .hedge import _drawn_indices, _recorded_indices, _run_rounds, round_slots
+from .weak_learn import BrgAuditLog, WeakLearnerSpec, audit_from_arrays
 
 
 def default_hint_rounds(m: int, gamma: float) -> int:
@@ -55,49 +56,21 @@ class HintResult:
 
 
 def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
-               gamma: Optional[float], audit_log: Optional[BrgAuditLog]):
-    if p < 1:
-        raise InvalidParams("hint round budget p must be at least 1")
-    m = dataset.m
-    labels = dataset.labels
-    mu0 = ListFunction.universal(dataset.alphabet)
-    learner = spec.learner
-    ctx = TrainContext(dataset, mu0) if learner.distribution_aware else None
-    residual = np.ones(m, dtype=bool)
-    hypotheses = []
-    slots = []
-    residual_sizes = []
-    audits = []
-    for j in range(1, p + 1):
-        size = int(residual.sum())
-        if size == 0:
-            break
-        residual_sizes.append(size)
-        dist = normalize(residual.astype(np.float64))
-        indices = index_source(j, dist)
-        sample = dataset.subset(indices)
-        if learner.distribution_aware:
-            h = learner.train_weighted(ctx, dist, sample, mu0)
-        else:
-            h = learner.train(sample, mu0)
-        preds = h.predictions_for(dataset)
-        correct = preds == labels
-        if gamma is not None:
-            alpha = float(dist.weights[correct].sum())
-            audit = audit_from_arrays(alpha, 1.0, mu0, gamma, tag=f"hint:j{j}")
-            audits.append(audit)
-            if audit_log is not None:
-                audit_log.append(audit)
-        hypotheses.append(h)
-        slots.append(HypothesisSlot(slot=j - 1, indices=tuple(int(i) for i in indices),
-                                    pred_hash=stable_digest(tuple(preds.tolist()))))
-        residual = residual & ~correct
-    rounds_run = len(hypotheses)
-    uncovered = tuple(int(i) for i in np.nonzero(residual)[0])
-
-    entries = {}
-    for x in dataset.unique_instances:
-        entries[x] = ordered_dedup(h.predict(x) for h in hypotheses)
+               gamma: Optional[float], audit_log: Optional[BrgAuditLog],
+               recorded=()) -> HintResult:
+    universal = ListFunction.universal(dataset.alphabet)
+    result = _run_rounds(dataset, universal, spec, p, math.inf, index_source, gamma,
+                         audit_log, "hint:j")
+    slots = round_slots(result, recorded, "hint")
+    hypotheses = result.score.hypotheses
+    predictions = result.score.predictions
+    # residual size after each round; the first round starts from all m examples
+    peeled = np.logical_or.accumulate(predictions == dataset.labels, axis=0)
+    left = dataset.m - peeled.sum(axis=1)
+    uncovered = tuple(np.flatnonzero(np.isfinite(result.final_log_weights)).tolist())
+    _, first = np.unique(dataset.group_ids, return_index=True)
+    entries = {x: ordered_dedup(column)
+               for x, column in zip(dataset.unique_instances, predictions[:, first].T.tolist())}
 
     def extend(x):
         return ordered_dedup(h.predict(x) for h in hypotheses)
@@ -108,11 +81,11 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
         mu=mu1,
         hypotheses=hypotheses,
         slots=slots,
-        residual_sizes=residual_sizes,
-        rounds_run=rounds_run,
+        residual_sizes=[dataset.m] + left[:-1].tolist(),
+        rounds_run=len(result.rounds),
         covered_all=(len(uncovered) == 0),
         uncovered=uncovered,
-        audits=audits,
+        audits=result.audits,
     )
 
 
@@ -120,26 +93,12 @@ def build_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                        rng: RandomStream, gamma: Optional[float] = None,
                        audit_log: Optional[BrgAuditLog] = None) -> HintResult:
     """Run up to p residual-peeling rounds and assemble the hint list function."""
-
-    def index_source(j, dist):
-        gen = rng.child("hint-round", j).generator()
-        return gen.choice(dataset.m, size=spec.m0, replace=True, p=dist.weights)
-
-    return _hint_core(dataset, spec, p, index_source, gamma, audit_log)
+    draw = _drawn_indices(rng, "hint-round", dataset.m, spec.m0)
+    return _hint_core(dataset, spec, p, draw, gamma, audit_log)
 
 
 def replay_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                         recorded_slots, gamma: Optional[float] = None) -> HintResult:
     """Rebuild a hint from recorded per-round sample indices, verifying fingerprints."""
-    recorded = [np.asarray(s.indices, dtype=np.int64) for s in recorded_slots]
-
-    def index_source(j, dist):
-        if j - 1 >= len(recorded):
-            raise NonDeterministicLearner(
-                f"hint replay needs round {j} but only {len(recorded)} were recorded"
-            )
-        return recorded[j - 1]
-
-    result = _hint_core(dataset, spec, p, index_source, gamma, None)
-    check_fingerprints(recorded_slots, [s.pred_hash for s in result.slots], "hint")
-    return result
+    replay = _recorded_indices(s.indices for s in recorded_slots)
+    return _hint_core(dataset, spec, p, replay, gamma, None, recorded_slots)

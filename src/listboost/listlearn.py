@@ -35,8 +35,7 @@ from .errors import (
     InvalidParams,
     PhaseFailure,
 )
-from .hedge import HedgeResult, replay_hedge, run_hedge
-from .recursive import round_slots
+from .hedge import HedgeResult, replay_hedge, round_slots, run_hedge
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
 
 
@@ -301,11 +300,8 @@ def list_to_weak(dataset: Dataset, list_learner: ListLearner, k: int,
     def predict(x):
         return _pad_pick(mu_b(x), j_b, alphabet)
 
-    hyp = WeakHypothesis(predict=predict,
-                         source=f"list-to-weak[{list_learner.name}]:cand{best}:j{j_b}",
-                         trained_with_list=f"k={k}")
     return ListToWeakResult(
-        hypothesis=hyp, k=k, epsilon=epsilon, delta=delta,
+        hypothesis=WeakHypothesis(predict=predict), k=k, epsilon=epsilon, delta=delta,
         target_gamma=(1.0 - 2.0 * epsilon) / k, q=q, r_val=r_val, block_size=block,
         chosen=best, positions=tuple(positions), val_accuracies=tuple(accs),
     )

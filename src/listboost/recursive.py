@@ -15,16 +15,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+# bench/spans.py wraps stable_digest in this module, which does not call it.
 from .core import Dataset, ListFunction, RandomStream, stable_digest
-from .compression import (
-    CompressionRecord,
-    HypothesisSlot,
-    RecordGroup,
-    check_fingerprints,
-    compression_size,
-)
+from .compression import CompressionRecord, RecordGroup, compression_size
 from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
-from .hedge import HedgeResult, ScoreTable, replay_hedge, run_hedge
+from .hedge import ScoreTable, replay_hedge, round_slots, run_hedge
 from .hint import build_initial_hint, default_hint_rounds, replay_initial_hint
 from .weak_learn import BrgAuditLog, WeakLearnerSpec
 
@@ -106,18 +101,6 @@ class StagedListChain:
         return int(min(candidates, key=lambda y: (-table.score(x, y), y)))
 
 
-def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
-    """A Hedge run's record slots, one per round, checked against ``recorded`` first.
-
-    Each round is hashed once, over its prediction row; training records
-    nothing to check against, so it passes no slots.
-    """
-    digests = [stable_digest(tuple(row)) for row in result.score.predictions.tolist()]
-    check_fingerprints(recorded, digests, where)
-    return [HypothesisSlot(slot=t, indices=r.indices, pred_hash=digest)
-            for t, (r, digest) in enumerate(zip(result.rounds, digests))]
-
-
 @dataclass
 class BoostResult:
     chain: StagedListChain
@@ -126,7 +109,6 @@ class BoostResult:
     audit_log: BrgAuditLog
     oracle_calls: int
     consistent_on_train: bool
-    phase_traces: list
 
     def predict(self, x) -> int:
         return self.chain.predict(x)
@@ -168,7 +150,6 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     lists = [mu]
     scores = []
     phase_groups = []
-    phase_traces = []
     oracle_calls = hint_result.rounds_run
     p, T = config.p, config.T
     for j in range(1, p):
@@ -191,7 +172,6 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         nxt = _make_stage_list(lists[-1], result.score, T, denom, new_entries,
                                declared, name=f"stage[{j + 1}]")
         phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
-        phase_traces.append(result.trace_rows())
         scores.append(result.score)
         lists.append(nxt)
         cur_lists = new_entries
@@ -222,7 +202,6 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         audit_log=audit_log,
         oracle_calls=oracle_calls,
         consistent_on_train=consistent,
-        phase_traces=phase_traces,
     )
 
 

@@ -41,13 +41,11 @@ AUDIT_TOLERANCE = 1e-12
 class WeakHypothesis:
     """A trained weak hypothesis: a deterministic instance -> label function."""
 
-    __slots__ = ("predict", "source", "trained_with_list", "_vector", "_vector_dataset")
+    __slots__ = ("predict", "_vector", "_vector_dataset")
 
-    def __init__(self, predict: Callable, source: str = "", trained_with_list: str = "",
-                 vector: Optional[np.ndarray] = None, vector_dataset: Optional[Dataset] = None):
+    def __init__(self, predict: Callable, vector: Optional[np.ndarray] = None,
+                 vector_dataset: Optional[Dataset] = None):
         self.predict = predict
-        self.source = source
-        self.trained_with_list = trained_with_list
         self._vector = vector
         self._vector_dataset = vector_dataset
 
@@ -133,7 +131,6 @@ class TrainContext:
             if wrong is None:
                 wrong = next(c for c in dataset.alphabet if c != v)
             self.group_wrong[g] = int(wrong)
-        self.cache: dict = {}
 
 
 @dataclass(frozen=True)
@@ -248,11 +245,7 @@ class ErmFiniteLearner(WeakLearner):
         ys = np.array([ex.label for ex in sample], dtype=np.int64)
         hits = (fc.table[:, cols] == ys).sum(axis=1)
         row = int(np.argmax(hits))  # first max = lowest index
-        return WeakHypothesis(
-            predict=fc.row_predictor(row),
-            source=f"{self.name}:row{row}",
-            trained_with_list=mu.name if mu is not None else "",
-        )
+        return WeakHypothesis(predict=fc.row_predictor(row))
 
 
 class TooWeakLearner(WeakLearner):
@@ -288,12 +281,7 @@ class TooWeakLearner(WeakLearner):
             score1 += ex.label == self._H1[ex.instance]
             score2 += ex.label == self._H2[ex.instance]
         table = self._H1 if score1 >= score2 else self._H2
-        which = "h1" if table is self._H1 else "h2"
-        return WeakHypothesis(
-            predict=self._predictor(table),
-            source=f"{self.name}:{which}",
-            trained_with_list=mu.name if mu is not None else "",
-        )
+        return WeakHypothesis(predict=self._predictor(table))
 
 
 class StumpLearner(WeakLearner):
@@ -347,11 +335,7 @@ class StumpLearner(WeakLearner):
                 raise NonNumericInstance(f"stump expected a {n_features}-d vector, got {x!r}")
             return l_le if x[f] <= thr else l_gt
 
-        return WeakHypothesis(
-            predict=predict,
-            source=f"stump:f{f}<={thr:.6g}->{l_le}|{l_gt}",
-            trained_with_list=mu.name,
-        )
+        return WeakHypothesis(predict=predict)
 
 
 class ConstantLearner(WeakLearner):
@@ -363,8 +347,7 @@ class ConstantLearner(WeakLearner):
 
     def train(self, sample, mu=None) -> WeakHypothesis:
         lbl = self.label
-        return WeakHypothesis(predict=lambda x: lbl, source=self.name,
-                              trained_with_list=mu.name if mu is not None else "")
+        return WeakHypothesis(predict=lambda x: lbl)
 
 
 class CalibratedBrgOracle(WeakLearner):
@@ -416,13 +399,7 @@ class CalibratedBrgOracle(WeakLearner):
         def predict(x):
             return lookup.get(x, fallback)
 
-        return WeakHypothesis(
-            predict=predict,
-            source=self.name,
-            trained_with_list=mu.name,
-            vector=vector,
-            vector_dataset=ds,
-        )
+        return WeakHypothesis(predict=predict, vector=vector, vector_dataset=ds)
 
 
 class CallCountingLearner(WeakLearner):

@@ -13,6 +13,7 @@ from listboost import (
     ConstantLearner,
     EmptyCandidates,
     ErmFiniteLearner,
+    InvalidParams,
     ListFunction,
     RandomStream,
     TooWeakLearner,
@@ -146,5 +147,15 @@ def test_round_trace_fields(counterexample_dataset):
     for r in res.rounds:
         assert len(r.indices) == 2
         assert r.alpha in (0.0, 0.5, 1.0) or 0.0 <= r.alpha <= 1.0
-    rows = res.trace_rows()
-    assert len(rows) == 5 and all("alpha_t" in row for row in rows)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+def test_public_entry_points_reject_non_finite_or_non_positive_eta(counterexample_dataset, eta):
+    # Only the private round loop takes eta = inf (the residual-peeling hint).
+    ds = counterexample_dataset
+    mu = ListFunction.universal(ds.alphabet)
+    spec = WeakLearnerSpec(ConstantLearner(0), m0=2)
+    with pytest.raises(InvalidParams):
+        run_hedge(ds, mu, spec, T=3, eta=eta, rng=RandomStream(0, ("h",)))
+    with pytest.raises(InvalidParams):
+        replay_hedge(ds, mu, spec, [(0, 1), (1, 2)], eta=eta)

@@ -57,7 +57,7 @@ def test_audit_brg_weighted_hand_case():
     # weights (.5, .25, .25); predictor right on the heavy point only
     ds = make_dataset([("a", 0), ("b", 1), ("c", 1)])
     dist = normalize(np.array([2.0, 1.0, 1.0]))
-    hyp = WeakHypothesis(predict=lambda x: 0, source="const0")
+    hyp = WeakHypothesis(predict=lambda x: 0)
     mu = ListFunction.explicit({"a": (0, 1), "b": (0, 1), "c": (0, 1)}, declared_size=2)
     log = BrgAuditLog()
     audit = audit_brg(hyp, ds, dist, mu, gamma=0.2, log=log, tag="hand")

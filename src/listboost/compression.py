@@ -113,13 +113,18 @@ def check_fingerprints(slots, digests, where: str) -> None:
 
     Slots with an empty pred_hash carry no fingerprint and are skipped; the
     first disagreement raises NonDeterministicLearner naming the record
-    group ``where`` and the slot.
+    group ``where`` and the slot. If every replayed slot matches but the
+    record has more slots than the replay produced, InvalidParams names
+    ``where``.
     """
     for slot, got in zip(slots, digests):
         if slot.pred_hash and got != slot.pred_hash:
             raise NonDeterministicLearner(
                 f"{where} slot {slot.slot}: replayed hypothesis diverged from the record"
             )
+    if len(slots) > len(digests):
+        raise InvalidParams(f"record group {where} has {len(slots)} slots, "
+                            f"but the replay produced {len(digests)}")
 
 
 def compression_size(record: CompressionRecord) -> int:

@@ -278,6 +278,15 @@ class ListFunction:
         return f"ListFunction({self.name}, k={self.declared_size})"
 
 
+def coverage_mask(dataset: Dataset, mu: Callable) -> np.ndarray:
+    """Per example: is its true label in mu(x)? ``mu`` is any instance -> list callable."""
+    if isinstance(mu, ListFunction) and mu.is_universal:
+        return np.ones(dataset.m, dtype=bool)
+    lists = [mu(x) for x in dataset.unique_instances]
+    return np.array([y in lists[g] for y, g in
+                     zip(dataset.labels.tolist(), dataset.group_ids.tolist())], dtype=bool)
+
+
 def ordered_dedup(items) -> tuple:
     seen = set()
     out = []

@@ -387,7 +387,7 @@ def _run_plurality_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
     for i, x in enumerate(ds.instances):
         y = int(ds.labels[i])
         counts = score.counts(x)
-        top = max(ds.alphabet, key=lambda lab: (counts.get(lab, 0), -lab))
+        top = max(ds.alphabet, key=lambda lab: (counts[lab], -lab))
         hits += top == y
         elim_ok += eliminate_min_label(score, x, ds.alphabet) != y
     regret_ok = result.regret_satisfied()

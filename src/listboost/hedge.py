@@ -4,9 +4,11 @@ Weights start uniform and are kept in log space, so no underflow rescaling is
 ever needed. Each round: normalize to a distribution, draw the learner's
 sample i.i.d. from it, train, then multiply every correctly-classified
 example's weight by exp(-eta). The per-round accuracy alpha_t is always
-measured on the full weighted dataset, not the drawn sample. The score table
-counts, for every (instance, label), how many rounds voted that label; row
-sums equal the round count exactly because every hypothesis casts one vote.
+measured on the full weighted dataset, not the drawn sample; a hypothesis is
+evaluated once per distinct training instance. The score table keeps, per
+instance, one row of vote counts indexed by label: how many rounds voted
+that label there. Row sums equal the round count exactly because every
+hypothesis casts one vote.
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
@@ -16,14 +18,13 @@ only a positive finite eta.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .compression import HypothesisSlot, check_fingerprints
-from .core import Dataset, ListFunction, RandomStream, normalize, stable_digest
+from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize, stable_digest
 from .errors import EmptyCandidates, InvalidParams, NonDeterministicLearner
 from .weak_learn import (
     BrgAudit,
@@ -31,51 +32,44 @@ from .weak_learn import (
     TrainContext,
     WeakLearnerSpec,
     audit_from_arrays,
-    coverage_mask,
 )
 
 
 class ScoreTable:
     """Vote counts H(x, y) accumulated over the trained hypotheses.
 
-    Counts are exact integers. Lookups for instances outside the training
-    set evaluate every stored hypothesis once and are cached.
+    One memo maps each instance to an int64 row indexed by label, at least
+    as long as the alphabet. Every training instance's row is counted up
+    front from the prediction matrix; any other instance's row is counted
+    the first time it is asked for, evaluating each hypothesis once.
     """
 
     def __init__(self, hypotheses, dataset: Dataset, predictions: np.ndarray):
         self.hypotheses = list(hypotheses)
-        self.train_dataset = dataset
         self.predictions = predictions  # shape (rounds run, m)
-        self._rep = None
-        self._train_counts = {}
-        self._extra_counts = {}
+        _, first = np.unique(dataset.group_ids, return_index=True)
+        n_inst = len(first)
+        self._width = max(len(dataset.alphabet), int(predictions.max(initial=-1)) + 1)
+        cells = predictions[:, first]  # a copy: each vote's (instance, label) cell id
+        cells += self._width * np.arange(n_inst, dtype=np.int64)
+        rows = np.bincount(cells.ravel(), minlength=n_inst * self._width)
+        self._rows = dict(zip(dataset.unique_instances,
+                              rows.reshape(n_inst, self._width)))
 
     @property
     def total(self) -> int:
         return len(self.hypotheses)
 
-    def _representative(self, x):
-        if self._rep is None:
-            rep = {}
-            for i, inst in enumerate(self.train_dataset.instances):
-                rep.setdefault(inst, i)
-            self._rep = rep
-        return self._rep.get(x)
-
-    def counts(self, x) -> dict:
-        """Label -> vote count for instance x; values sum to ``total``."""
-        rep = self._representative(x)
-        if rep is not None:
-            if x not in self._train_counts:
-                col = self.predictions[:, rep]
-                self._train_counts[x] = dict(Counter(int(v) for v in col))
-            return self._train_counts[x]
-        if x not in self._extra_counts:
-            self._extra_counts[x] = dict(Counter(int(h.predict(x)) for h in self.hypotheses))
-        return self._extra_counts[x]
+    def counts(self, x) -> np.ndarray:
+        """Vote count per label at instance x; the row sums to ``total``."""
+        row = self._rows.get(x)
+        if row is None:
+            row = np.bincount([h.predict(x) for h in self.hypotheses], minlength=self._width)
+            self._rows[x] = row
+        return row
 
     def score(self, x, y) -> int:
-        return self.counts(x).get(int(y), 0)
+        return int(self.counts(x)[y])
 
 
 @dataclass

@@ -26,6 +26,7 @@ from .core import (
     Dataset,
     ListFunction,
     RandomStream,
+    coverage_mask,
     ordered_dedup,
     stable_digest,
 )
@@ -86,13 +87,11 @@ class ConversionParams:
         object.__setattr__(self, "r_val", r_val)
 
 
-def _vote_entry(counts: dict, k: int, T: int) -> tuple:
+def _vote_entry(counts, k: int, T: int) -> tuple:
     """Labels whose vote count strictly clears T/k, score-descending order."""
-    kept = [(y, c) for y, c in counts.items() if c * k > T]
-    kept.sort(key=lambda yc: (-yc[1], yc[0]))
-    if len(kept) > k - 1 and k > 1:
-        kept = kept[: k - 1]
-    return tuple(y for y, _ in kept)
+    kept = sorted((y for y, c in enumerate(counts.tolist()) if c * k > T),
+                  key=lambda y: (-counts[y], y))
+    return tuple(kept[: k - 1] if k > 1 else kept)
 
 
 @dataclass
@@ -117,22 +116,18 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, slots: list,
         raise InvalidParams(f"record group rounds has {len(slots)} rounds, not T={T}")
     score = result.score
     entries = {x: _vote_entry(score.counts(x), k, T) for x in dataset.unique_instances}
-    missed = sum(
-        1
-        for i, x in enumerate(dataset.instances)
-        if int(dataset.labels[i]) not in entries[x]
-    )
-    if missed:
-        raise PhaseFailure(
-            1, lost=missed,
-            message=f"{missed} training label(s) at or below the vote threshold T/k",
-        )
 
     def extend(x):
         return _vote_entry(score.counts(x), k, T)
 
     mu = ListFunction.composed(extend, declared_size=max(1, k - 1), entries=entries,
                                name=f"weak-to-list[k={k}]")
+    missed = dataset.m - int(coverage_mask(dataset, mu).sum())
+    if missed:
+        raise PhaseFailure(
+            1, lost=missed,
+            message=f"{missed} training label(s) at or below the vote threshold T/k",
+        )
     meta = {
         "gamma": gamma,
         "k": k,
@@ -376,9 +371,4 @@ def list_boost(dataset: Dataset, list_learner: ListLearner, k0: int, eps0: float
 
 def evaluate_list_error(mu, dataset: Dataset) -> float:
     """Empirical Pr[y not in mu(x)] over the dataset."""
-    if dataset.m == 0:
-        raise InvalidParams("evaluation set is empty")
-    misses = sum(
-        1 for i, x in enumerate(dataset.instances) if int(dataset.labels[i]) not in mu(x)
-    )
-    return misses / dataset.m
+    return int((~coverage_mask(dataset, mu)).sum()) / dataset.m

@@ -30,6 +30,7 @@ from .core import (
     ListFunction,
     RandomStream,
     as_instance_key,
+    coverage_mask,
     make_dataset,
     ordered_dedup,
     stable_digest,
@@ -353,7 +354,10 @@ def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
 
     A witness family needs every member to have at least k same-edge neighbors
     in every direction; iterated deletion of deficient rows finds the maximal
-    witness, and a non-empty fixed point certifies shattering.
+    witness, and a non-empty fixed point certifies shattering. Projecting a
+    witness onto fewer columns keeps k + 1 labels per edge, so subsets of a
+    shattered set are shattered: sizes are searched upward, up to the first
+    one with no shattered subset, and ``budget`` caps each size's subsets.
     """
     if k < 1:
         raise InvalidParams("list size k must be at least 1")
@@ -362,19 +366,17 @@ def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
     d_max = 0
     while (k + 1) ** (d_max + 1) <= size and d_max + 1 <= n:
         d_max += 1
-    for d in range(d_max, 0, -1):
+    for d in range(1, d_max + 1):
         n_subsets = math.comb(n, d)
         if n_subsets > budget:
             raise BudgetExceeded(
                 f"{n_subsets} column subsets of size {d} exceed budget {budget}"
             )
-        for cols in itertools.combinations(range(n), d):
-            sub = np.unique(fc.table[:, cols], axis=0)
-            if sub.shape[0] < (k + 1) ** d:
-                continue
-            if _shatter_core(sub, k):
-                return d
-    return 0
+        subs = (np.unique(fc.table[:, cols], axis=0)
+                for cols in itertools.combinations(range(n), d))
+        if not any(sub.shape[0] >= (k + 1) ** d and _shatter_core(sub, k) for sub in subs):
+            return d - 1
+    return d_max
 
 
 # ---------------------------------------------------------------------------
@@ -887,8 +889,6 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
     q = cover.q
     p = k * q
     mu = cover.mu
-    labels = dataset.labels
-    gid = dataset.group_ids
     uniq = dataset.unique_instances
     rounds = []
     groups = [cover.record_group]
@@ -910,7 +910,7 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
                                    max_list_len=max(len(mu(x)) for x in uniq),
                                    max_true_vote=wl.max_true_vote))
     final = _truncated_mu(mu, k, dataset, name=f"listpac[k={k}]")
-    consistent = all(int(labels[i]) in final(uniq[gid[i]]) for i in range(dataset.m))
+    consistent = bool(coverage_mask(dataset, final).all())
     record = CompressionRecord(
         pipeline="oig-listpac",
         meta={

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 # bench/spans.py wraps stable_digest in this module, which does not call it.
-from .core import Dataset, ListFunction, RandomStream, stable_digest
+from .core import Dataset, ListFunction, RandomStream, coverage_mask, stable_digest
 from .compression import CompressionRecord, RecordGroup, compression_size
 from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
 from .hedge import ScoreTable, replay_hedge, round_slots, run_hedge
@@ -118,20 +118,15 @@ class BoostResult:
         return compression_size(self.record)
 
 
-def _shrink_entries(cur_lists: dict, score: ScoreTable, T: int, denom: int) -> dict:
-    out = {}
-    for x, lst in cur_lists.items():
-        counts = score.counts(x)
-        out[x] = tuple(y for y in lst if counts.get(y, 0) * denom > T)
-    return out
+def _kept(lst, counts, T: int, denom: int) -> tuple:
+    """The labels of lst whose vote count clears T/denom (strict, exact integers)."""
+    return tuple(y for y in lst if counts[y] * denom > T)
 
 
 def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: int,
                      entries: dict, declared: int, name: str) -> ListFunction:
     def extend(x):
-        lst = prev_mu(x)
-        counts = score.counts(x)
-        return tuple(y for y in lst if counts.get(y, 0) * denom > T)
+        return _kept(prev_mu(x), score.counts(x), T, denom)
 
     return ListFunction.composed(extend, declared_size=declared, entries=entries, name=name)
 
@@ -139,14 +134,11 @@ def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: in
 def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
                 hint_result, phase_runner, audit_log: BrgAuditLog) -> BoostResult:
     m = dataset.m
-    labels = dataset.labels
-    gid = dataset.group_ids
-    uniq = dataset.unique_instances
     if not hint_result.covered_all:
         raise PhaseFailure(0, lost=len(hint_result.uncovered),
                            message=f"hint left {len(hint_result.uncovered)} example(s) uncovered")
     mu = hint_result.mu
-    cur_lists = {x: mu(x) for x in uniq}
+    cur_lists = {x: mu(x) for x in dataset.unique_instances}
     lists = [mu]
     scores = []
     phase_groups = []
@@ -160,24 +152,22 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
             raise InvalidParams(f"record group phase-{j} has {len(slots)} rounds, not T={T}")
         oracle_calls += T
         denom = p - j + 1
-        new_entries = _shrink_entries(cur_lists, result.score, T, denom)
-        lost = 0
-        for i in range(m):
-            x = uniq[gid[i]]
-            if labels[i] in cur_lists[x] and labels[i] not in new_entries[x]:
-                lost += 1
-        if lost:
-            raise PhaseFailure(j, lost=lost)
+        new_entries = {x: _kept(lst, result.score.counts(x), T, denom)
+                       for x, lst in cur_lists.items()}
         declared = max(1, p - j, max((len(v) for v in new_entries.values()), default=1))
         nxt = _make_stage_list(lists[-1], result.score, T, denom, new_entries,
                                declared, name=f"stage[{j + 1}]")
+        # every training label is in its current list, so a miss is a lost label
+        lost = m - int(coverage_mask(dataset, nxt).sum())
+        if lost:
+            raise PhaseFailure(j, lost=lost)
         phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
         scores.append(result.score)
         lists.append(nxt)
         cur_lists = new_entries
     chain = StagedListChain(lists, scores, config, dataset.alphabet)
-    consistent = all(chain.predict(x) == int(labels[i])
-                     for i, x in enumerate(dataset.instances))
+    consistent = all(chain.predict(x) == int(y)
+                     for x, y in zip(dataset.instances, dataset.labels))
     meta = {
         "gamma": config.gamma,
         "T": config.T,

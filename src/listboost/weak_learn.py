@@ -16,6 +16,10 @@ Learners receive the raw drawn sample (with repeats), not a weighted set.
 Test-oracle learners may additionally declare ``distribution_aware`` and get
 the exact weighted view; those are not valid compression-scheme components
 and are flagged as such.
+
+Every learner returns the same kind of hypothesis: a deterministic
+``predict`` function and nothing else. Predictions over a dataset evaluate it
+once per distinct instance and gather the result with ``group_ids``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, ExampleDistribution, ListFunction
+from .core import Dataset, ExampleDistribution, ListFunction, coverage_mask
 from .errors import (
     InvalidGamma,
     InvalidParams,
@@ -41,22 +45,19 @@ AUDIT_TOLERANCE = 1e-12
 class WeakHypothesis:
     """A trained weak hypothesis: a deterministic instance -> label function."""
 
-    __slots__ = ("predict", "_vector", "_vector_dataset")
+    __slots__ = ("predict",)
 
-    def __init__(self, predict: Callable, vector: Optional[np.ndarray] = None,
-                 vector_dataset: Optional[Dataset] = None):
+    def __init__(self, predict: Callable):
         self.predict = predict
-        self._vector = vector
-        self._vector_dataset = vector_dataset
 
     def __call__(self, x) -> int:
         return self.predict(x)
 
     def predictions_for(self, dataset: Dataset) -> np.ndarray:
-        """Predictions aligned with dataset.examples (vectorized when possible)."""
-        if self._vector is not None and self._vector_dataset is dataset:
-            return self._vector
-        return np.array([self.predict(x) for x in dataset.instances], dtype=np.int64)
+        """Predictions aligned with dataset.examples; predict runs once per distinct instance."""
+        per_instance = np.array([self.predict(x) for x in dataset.unique_instances],
+                                dtype=np.int64)
+        return per_instance[dataset.group_ids]
 
 
 class WeakLearner:
@@ -90,16 +91,6 @@ class WeakLearnerSpec:
             raise InvalidParams("m0 must be at least 1")
 
 
-def coverage_mask(dataset: Dataset, mu: ListFunction) -> np.ndarray:
-    """Per example: is its true label in its own hint list?"""
-    if mu.is_universal:
-        return np.ones(dataset.m, dtype=bool)
-    lists = [mu(x) for x in dataset.unique_instances]
-    gid = dataset.group_ids
-    return np.array([dataset.labels[i] in lists[gid[i]] for i in range(dataset.m)],
-                    dtype=bool)
-
-
 class TrainContext:
     """Precomputed per-phase views handed to distribution-aware learners.
 
@@ -115,12 +106,9 @@ class TrainContext:
         self.unique_lists = tuple(mu(x) for x in uniq)
         gid = dataset.group_ids
         # majority label per unique instance (ties -> smallest label)
-        self.group_label = np.empty(len(uniq), dtype=np.int64)
-        labels = dataset.labels
-        for g in range(len(uniq)):
-            ys = labels[gid == g]
-            vals, counts = np.unique(ys, return_counts=True)
-            self.group_label[g] = int(vals[np.argmax(counts)])
+        n_labels = len(dataset.alphabet)
+        tally = np.bincount(gid * n_labels + dataset.labels, minlength=len(uniq) * n_labels)
+        self.group_label = tally.reshape(len(uniq), n_labels).argmax(axis=1)
         self.covered = coverage_mask(dataset, mu)
         # a deterministic wrong label per unique instance: first hint label
         # that disagrees with the majority label, else first alphabet label
@@ -392,14 +380,9 @@ class CalibratedBrgOracle(WeakLearner):
         marked = order[:min(cut, n_groups)]
         group_pred = ctx.group_wrong.copy()
         group_pred[marked] = ctx.group_label[marked]
-        vector = group_pred[gid]
-        lookup = {x: int(group_pred[g]) for g, x in enumerate(ds.unique_instances)}
+        lookup = dict(zip(ds.unique_instances, group_pred.tolist()))
         fallback = int(ds.alphabet[0])
-
-        def predict(x):
-            return lookup.get(x, fallback)
-
-        return WeakHypothesis(predict=predict, vector=vector, vector_dataset=ds)
+        return WeakHypothesis(predict=lambda x: lookup.get(x, fallback))
 
 
 class CallCountingLearner(WeakLearner):

@@ -76,7 +76,7 @@ def test_criterion_01_plurality_fails_elimination_succeeds():
         hits = 0
         for ex in ds.examples:
             counts = out.score.counts(ex.instance)
-            top = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))[0]
+            top = max(enumerate(counts), key=lambda kv: (kv[1], -kv[0]))[0]
             hits += top == ex.label
             dropped = eliminate_min_label(out.score, ex.instance, ds.alphabet)
             assert dropped != ex.label, (T, ex)

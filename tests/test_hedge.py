@@ -1,6 +1,7 @@
 """Multiplicative-weights loop: vote tables, regret, elimination, replay."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +24,8 @@ from listboost import (
     replay_hedge,
     run_hedge,
 )
+from listboost.hedge import ScoreTable
+from listboost.weak_learn import WeakHypothesis
 from tests.conftest import build_class, planted_dataset
 
 
@@ -45,7 +48,7 @@ def test_vote_totals_and_shape(counterexample_dataset):
     assert res.score.predictions.shape == (T, ds.m)
     for x in ds.unique_instances:
         counts = res.score.counts(x)
-        assert sum(counts.values()) == T
+        assert counts.sum() == T
     # Both candidate hypotheses always vote 2 at "c".
     assert res.score.score("c", 2) == T
 
@@ -159,3 +162,30 @@ def test_public_entry_points_reject_non_finite_or_non_positive_eta(counterexampl
         run_hedge(ds, mu, spec, T=3, eta=eta, rng=RandomStream(0, ("h",)))
     with pytest.raises(InvalidParams):
         replay_hedge(ds, mu, spec, [(0, 1), (1, 2)], eta=eta)
+
+
+def test_score_rows_match_a_reference_count_and_evaluate_unseen_instances_once():
+    ds = make_dataset([("a", 0), ("b", 1), ("a", 0), ("c", 2)], alphabet=(0, 1, 2))
+    tables = [{"a": 0, "b": 1, "c": 2, "d": 1},
+              {"a": 0, "b": 0, "c": 2, "d": 2},
+              {"a": 1, "b": 1, "c": 2, "d": 1}]
+    calls = Counter()
+
+    def hypothesis(table):
+        def predict(x):
+            calls[x] += 1
+            return table[x]
+        return WeakHypothesis(predict=predict)
+
+    hyps = [hypothesis(t) for t in tables]
+    score = ScoreTable(hyps, ds, np.array([h.predictions_for(ds) for h in hyps]))
+    assert calls["d"] == 0
+    for x in ("a", "d"):  # a training instance, then an unseen one
+        reference = Counter(t[x] for t in tables)
+        row = score.counts(x)
+        assert row.tolist() == [reference[y] for y in ds.alphabet]
+        assert row.sum() == score.total == len(tables)
+    for _ in range(3):
+        score.counts("d")
+        assert score.score("d", 1) == 2
+    assert calls["d"] == len(tables)

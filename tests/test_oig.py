@@ -156,6 +156,51 @@ def test_dimension_budget(catalog):
         kds_dimension(catalog["grid9"], 1, budget=0)
 
 
+def _dimension_downward(fc, k):
+    """Reference: every column subset, largest size first, no pruning."""
+    for d in range(fc.n, 0, -1):
+        for cols in itertools.combinations(range(fc.n), d):
+            if oig._shatter_core(np.unique(fc.table[:, cols], axis=0), k):
+                return d
+    return 0
+
+
+@pytest.mark.parametrize("k", (1, 2))
+def test_upward_dimension_matches_downward_reference(catalog, k):
+    classes = list(catalog.values())
+    gen = np.random.default_rng(2024)
+    for _ in range(16):
+        labels = int(gen.integers(2, 4))
+        table = gen.integers(0, labels, size=(int(gen.integers(2, 41)), int(gen.integers(1, 6))))
+        classes.append(build_class(np.unique(table, axis=0).tolist(),
+                                   alphabet=tuple(range(labels))))
+    dims = [kds_dimension(fc, k) for fc in classes]
+    assert dims == [_dimension_downward(fc, k) for fc in classes]
+    assert max(dims) >= 2
+
+
+def test_dimension_search_stops_one_size_past_the_answer(monkeypatch):
+    # The listpac-oig benchmark shape: the zero row and every row relabelling
+    # one of 12 columns to one of 3 other labels (37 rows, dimension 1).
+    rows = [[0] * 12] + [[label if c == col else 0 for c in range(12)]
+                         for col in range(12) for label in (1, 2, 3)]
+    fc = build_class(rows, alphabet=(0, 1, 2, 3))
+    examined = 0
+    combinations = itertools.combinations
+
+    def counting(*args):
+        nonlocal examined
+        for cols in combinations(*args):
+            examined += 1
+            yield cols
+
+    monkeypatch.setattr(oig.itertools, "combinations", counting)
+    assert kds_dimension(fc, 1) == 1
+    # one shattered single column, then all 66 pairs; a downward search from
+    # d_max = 5 examines 792 + 495 + 220 + 66 + 1 = 1,574
+    assert examined <= 67
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN))
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_leave_one_out_misses_equal_out_degree(catalog, name, k):

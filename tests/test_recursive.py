@@ -1,5 +1,9 @@
 """Staged list boosting: schedules, consistency, failure modes, replay."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from listboost import (
     TooWeakLearner,
     WeakLearnerSpec,
     adaptive_gamma,
+    compression_size,
     default_learning_rate,
     default_phase_budget,
     default_round_count,
@@ -158,6 +163,32 @@ def test_replay_rejects_a_phase_shorter_than_T():
     phase.slots = phase.slots[:-1]
     with pytest.raises(InvalidParams, match="phase-1"):
         replay_boost(loaded, ds, spec)
+
+
+def _bench_workloads(monkeypatch):
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_replay_rejects_extra_hint_slots(monkeypatch):
+    # The tiny boost-erm input of the benchmark, seed 0: its hint empties the
+    # residual in two rounds, so a third recorded slot is never replayed.
+    workloads = _bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    hint_slots = loaded.group("hint").slots
+    assert len(hint_slots) == 2
+    hint_slots.append(type(hint_slots[0])(slot=2, indices=hint_slots[0].indices,
+                                          pred_hash="deadbeef"))
+    assert (compression_size(res.record), compression_size(loaded)) == (6620, 6630)
+    with pytest.raises(InvalidParams, match="hint"):
+        replay_boost(loaded, inp.dataset, inp.spec)
 
 
 def test_record_meta_round_trip(planted, tmp_path):

@@ -141,3 +141,19 @@ def test_calibrated_oracle_requires_weighted_entry_point():
 def test_calibrated_oracle_is_flagged_unsafe_for_compression():
     assert CalibratedBrgOracle(0.2).compression_safe is False
     assert ErmFiniteLearner(build_class([(0,), (1,)])).compression_safe is True
+
+
+def test_predictions_for_calls_predict_once_per_distinct_instance():
+    ds = make_dataset([("a", 0), ("b", 1), ("a", 0), ("c", 2), ("b", 0), ("a", 1)],
+                      alphabet=(0, 1, 2))
+    table = {"a": 2, "b": 0, "c": 1}
+    calls = []
+
+    def predict(x):
+        calls.append(x)
+        return table[x]
+
+    preds = WeakHypothesis(predict=predict).predictions_for(ds)
+    assert sorted(calls) == ["a", "b", "c"]
+    assert preds.dtype == np.int64
+    assert preds.tolist() == [table[x] for x in ds.instances]

@@ -137,6 +137,7 @@ def _cmd_boost(args) -> int:
         "r": r,
         "epsilon": eps,
         "phases": res.chain.realized_phases,
+        "denominators": res.record.meta["denominators"],
         "hint_rounds": res.hint_result.rounds_run,
     })
     if args.record:

@@ -101,6 +101,13 @@ class Dataset:
         arr.setflags(write=False)
         return arr
 
+    @cached_property
+    def first_index(self) -> np.ndarray:
+        """Index of the first example of each instance in unique_instances."""
+        first = np.unique(self.group_ids, return_index=True)[1]
+        first.setflags(write=False)
+        return first
+
     def subset(self, indices) -> list:
         return [self.examples[i] for i in indices]
 

@@ -47,10 +47,9 @@ class ScoreTable:
     def __init__(self, hypotheses, dataset: Dataset, predictions: np.ndarray):
         self.hypotheses = list(hypotheses)
         self.predictions = predictions  # shape (rounds run, m)
-        _, first = np.unique(dataset.group_ids, return_index=True)
-        n_inst = len(first)
+        n_inst = len(dataset.unique_instances)
         self._width = max(len(dataset.alphabet), int(predictions.max(initial=-1)) + 1)
-        cells = predictions[:, first]  # a copy: each vote's (instance, label) cell id
+        cells = predictions[:, dataset.first_index]  # a copy, then (instance, label) cell ids
         cells += self._width * np.arange(n_inst, dtype=np.int64)
         rows = np.bincount(cells.ravel(), minlength=n_inst * self._width)
         self._rows = dict(zip(dataset.unique_instances,

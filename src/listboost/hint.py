@@ -68,9 +68,8 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     peeled = np.logical_or.accumulate(predictions == dataset.labels, axis=0)
     left = dataset.m - peeled.sum(axis=1)
     uncovered = tuple(np.flatnonzero(np.isfinite(result.final_log_weights)).tolist())
-    _, first = np.unique(dataset.group_ids, return_index=True)
-    entries = {x: ordered_dedup(column)
-               for x, column in zip(dataset.unique_instances, predictions[:, first].T.tolist())}
+    columns = predictions[:, dataset.first_index].T.tolist()
+    entries = dict(zip(dataset.unique_instances, map(ordered_dedup, columns)))
 
     def extend(x):
         return ordered_dedup(h.predict(x) for h in hypotheses)

@@ -708,7 +708,7 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
             return slot_by_key[key]
         sample = tuple(dataset.examples[i] for i in key)
         lists, preds = _slot_predictions(fc, sample, uniq, p, strategy, orient_budget)
-        covers = np.array([int(labels[i]) in lists[gid[i]] for i in range(m)], dtype=bool)
+        covers = coverage_mask(dataset, dict(zip(uniq, lists)).get)
         sid = len(slot_samples)
         slot_by_key[key] = sid
         slot_samples.append(sample)

@@ -1,12 +1,14 @@
 """Recursive list shrinking: hint, then score-thresholded elimination phases.
 
 Phase j runs the multiplicative-weights rounds against the current hint
-mu_j, then keeps only the labels whose vote count clears T/(p - j + 1)
-(strict, compared in exact integer arithmetic). When every per-round audit
-passes, each training list keeps its true label and oversized lists lose at
-least one label per phase, so after p - 1 phases every training list is the
-singleton true label. A training pair losing its true label raises
-PhaseFailure immediately; the adaptive driver reacts by halving the edge.
+mu_j, then keeps only the labels whose vote count clears T/d_j (strict,
+exact integers), so at most d_j - 1 labels survive. d_j is the smallest
+value in [min(s, p - j + 1), p - j + 1], s the longest training list, that
+keeps every training label; p - j + 1 does when every audit passes, so after
+p - 1 phases each training list is its true label alone. A pair losing its
+true label raises PhaseFailure; the adaptive driver then halves the edge.
+The meta stores each d_j (``denominators``): side information of at most
+ln p nats per phase, not counted in r, that replay checks against the rule.
 """
 
 from __future__ import annotations
@@ -123,6 +125,13 @@ def _kept(lst, counts, T: int, denom: int) -> tuple:
     return tuple(y for y in lst if counts[y] * denom > T)
 
 
+def _phase_denominator(lists, true_counts, T: int, cap: int) -> int:
+    """Smallest d in [min(longest list, cap), cap] with true_counts * d > T, else cap."""
+    c = int(min(true_counts))
+    need = T // c + 1 if c else cap
+    return min(cap, max(need, max(map(len, lists))))
+
+
 def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: int,
                      entries: dict, declared: int, name: str) -> ListFunction:
     def extend(x):
@@ -132,7 +141,8 @@ def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: in
 
 
 def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
-                hint_result, phase_runner, audit_log: BrgAuditLog) -> BoostResult:
+                hint_result, phase_runner, audit_log: BrgAuditLog,
+                recorded: Optional[list] = None) -> BoostResult:
     m = dataset.m
     if not hint_result.covered_all:
         raise PhaseFailure(0, lost=len(hint_result.uncovered),
@@ -142,6 +152,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     lists = [mu]
     scores = []
     phase_groups = []
+    denominators = []
     oracle_calls = hint_result.rounds_run
     p, T = config.p, config.T
     for j in range(1, p):
@@ -151,7 +162,10 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         if len(slots) != T:
             raise InvalidParams(f"record group phase-{j} has {len(slots)} rounds, not T={T}")
         oracle_calls += T
-        denom = p - j + 1
+        denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)
+        if recorded is not None and recorded[j - 1:j] != [denom]:
+            raise InvalidParams(f"record meta denominators {recorded} do not give phase {j} "
+                                f"the rule's {denom} in [1, {p - j + 1}]")
         new_entries = {x: _kept(lst, result.score.counts(x), T, denom)
                        for x, lst in cur_lists.items()}
         declared = max(1, p - j, max((len(v) for v in new_entries.values()), default=1))
@@ -163,6 +177,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
             raise PhaseFailure(j, lost=lost)
         phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
         scores.append(result.score)
+        denominators.append(denom)
         lists.append(nxt)
         cur_lists = new_entries
     chain = StagedListChain(lists, scores, config, dataset.alphabet)
@@ -180,6 +195,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         "alphabet_size": len(dataset.alphabet),
         "hint_rounds": hint_result.rounds_run,
         "phases_run": len(scores),
+        "denominators": denominators,
         "learner": spec.learner.name,
         "compression_safe": bool(spec.learner.compression_safe),
     }
@@ -215,7 +231,7 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
 
 def replay_boost(record: CompressionRecord, dataset: Dataset,
                  spec: WeakLearnerSpec) -> BoostResult:
-    """Rebuild a boosted predictor from its record; verifies per-slot fingerprints."""
+    """Rebuild a boosted predictor from its record; verifies fingerprints and denominators."""
     meta = record.meta
     config = BoostConfig(gamma=meta["gamma"], T=meta["T"], p=meta["p"], eta=meta["eta"],
                          m0=meta["m0"], delta=meta["delta"], seed=meta["seed"])
@@ -223,17 +239,25 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
     audit_log = BrgAuditLog()
     hint_result = replay_initial_hint(dataset, effective, config.p,
                                       record.group("hint").slots, gamma=config.gamma)
-    phase_groups = [g for g in record.groups if g.tag.startswith("phase-")]
+    denominators = meta.get("denominators")
+    if not isinstance(denominators, list):
+        raise InvalidParams("record meta has no denominators list")
 
     def phase_runner(j, mu_j):
-        group = phase_groups[j - 1]
+        group = record.group(f"phase-{j}")
         result = replay_hedge(dataset, mu_j, effective,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
                               audit_tag=f"phase{j}:")
         return result, round_slots(result, group.slots, group.tag)
 
-    return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
+    res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log,
+                      denominators)
+    tags, ran = [g.tag for g in record.groups], [g.tag for g in res.record.groups]
+    if tags != ran or len(denominators) != len(ran) - 1:
+        raise InvalidParams(f"record groups {tags} with {len(denominators)} denominators "
+                            f"do not match the replayed groups {ran}")
+    return res
 
 
 @dataclass

@@ -47,6 +47,8 @@ def test_boost_roundtrip(planted_files, tmp_path, capsys):
     blob = json.loads(rec.read_text())
     assert blob["format"] == "listboost-record/1"
     assert blob["pipeline"] == "boost"
+    assert row["denominators"] == blob["meta"]["denominators"]
+    assert len(row["denominators"]) == row["phases"]
 
 
 def test_boost_failure_exit_code(tmp_path, capsys):

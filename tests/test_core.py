@@ -37,6 +37,7 @@ def test_make_dataset_unique_instances_first_appearance_order():
     ds = make_dataset([("z", 1), ("a", 0), ("z", 1), ("m", 1)])
     assert ds.unique_instances == ("z", "a", "m")
     assert ds.group_ids.tolist() == [0, 1, 0, 2]
+    assert ds.first_index.tolist() == [0, 1, 3]
 
 
 def test_make_dataset_rejects_labels_outside_alphabet():

@@ -27,6 +27,7 @@ from listboost import (
     recursive_boost,
     replay_boost,
 )
+from listboost.recursive import _phase_denominator
 from tests.conftest import build_class, planted_dataset
 
 
@@ -62,14 +63,26 @@ def test_erm_run_is_consistent_and_audited(planted):
     assert res.oracle_calls == 1
 
 
-def test_oracle_runs_full_phase_schedule():
+def _three_label_dataset():
     fc = build_class([(0, 1, 0, 2), (1, 1, 0, 2), (0, 0, 2, 1)],
                      alphabet=(0, 1, 2))
-    ds = planted_dataset(fc, m=25, seed=8)
-    gamma = 0.4
+    return planted_dataset(fc, m=25, seed=8)
+
+
+def _oracle_run(gamma):
+    ds = _three_label_dataset()
     spec = WeakLearnerSpec(CalibratedBrgOracle(gamma=gamma, margin=0.05), m0=ds.m)
     cfg = BoostConfig.from_defaults(m=ds.m, gamma=gamma, seed=5)
-    res = recursive_boost(ds, spec, cfg)
+    return ds, spec, cfg, recursive_boost(ds, spec, cfg)
+
+
+@pytest.fixture(scope="module")
+def six_phase_run():
+    return _oracle_run(0.3)
+
+
+def test_oracle_runs_full_phase_schedule():
+    ds, _spec, cfg, res = _oracle_run(0.4)
     assert res.consistent_on_train
     phases = res.record.meta["phases_run"]
     assert phases >= 1
@@ -81,6 +94,74 @@ def test_oracle_runs_full_phase_schedule():
         lengths = [len(mu(x)) for mu in res.chain.lists]
         assert all(a >= b for a, b in zip(lengths, lengths[1:]))
         assert lengths[-1] == 1
+
+
+def test_phase_denominator_rule_on_hand_made_counts():
+    lists = [(0, 1), (2, 1), (1,)]
+    # T=10, lists of 2: the smallest true vote 4 needs 4 * d > 10, so d = 3 > s
+    assert _phase_denominator(lists, np.array([4, 7, 10]), 10, 16) == 3
+    # 6 * 2 > 10 already, so d stays at the longest list
+    assert _phase_denominator(lists, np.array([6, 7, 10]), 10, 16) == 2
+    # no d up to p - j + 1 keeps a vote of 1 (or 0): the cap, and the phase fails
+    assert _phase_denominator(lists, np.array([1, 9]), 10, 5) == 5
+    assert _phase_denominator(lists, np.array([0, 9]), 10, 5) == 5
+    # lists longer than the cap start from the cap
+    assert _phase_denominator([(0, 1, 2)], np.array([9]), 10, 2) == 2
+
+
+def test_each_phase_denominator_is_the_smallest_that_keeps_every_label(six_phase_run):
+    ds, spec, cfg, res = six_phase_run
+    denominators = res.record.meta["denominators"]
+    assert len(denominators) == res.chain.realized_phases >= 2
+    above_s = False
+    for j, d in enumerate(denominators, start=1):
+        mu, score = res.chain.lists[j - 1], res.chain.scores[j - 1]
+        s = max(len(mu(x)) for x in ds.unique_instances)
+        true_vote = min(score.score(x, int(y)) for x, y in zip(ds.instances, ds.labels))
+        assert true_vote * d > cfg.T
+        assert d == min(s, cfg.p - j + 1) or true_vote * (d - 1) <= cfg.T
+        above_s |= d > s
+    assert above_s
+    assert res.consistent_on_train
+    rep = replay_boost(type(res.record).from_json_dict(res.record.to_json_dict()), ds, spec)
+    assert rep.record.meta["denominators"] == denominators
+
+
+def _drop_last_phase(record):
+    record.groups.pop()
+
+
+def _append_phase(record):
+    last = record.groups[-1]
+    record.groups.append(type(last)(tag=f"phase-{len(record.groups)}", slots=last.slots))
+
+
+def _set_denominators(value):
+    def tamper(record):
+        record.meta["denominators"] = value(record.meta["denominators"])
+    return tamper
+
+
+@pytest.mark.parametrize("tamper, match", [
+    (_drop_last_phase, "phase-6"),
+    (_append_phase, "phase-7"),
+    (lambda record: record.meta.pop("denominators"), "no denominators"),
+    (_set_denominators(lambda d: d[:-1]), "do not give phase 6"),
+    (_set_denominators(lambda d: d + [1]), "7 denominators"),
+    (_set_denominators(lambda d: [0] + d[1:]), r"phase 1 the rule's 3 in \[1, 11\]"),
+    (_set_denominators(lambda d: d[:-1] + [7]), r"phase 6 the rule's 2 in \[1, 6\]"),
+    (_set_denominators(lambda d: [4] + d[1:]), "phase 1 the rule's 3"),
+], ids=["drop-last-phase", "extra-phase", "no-denominators", "short-denominators",
+        "long-denominators", "zero-denominator", "denominator-above-cap",
+        "denominator-not-minimal"])
+def test_replay_rejects_mismatched_phase_groups_and_denominators(six_phase_run, tamper,
+                                                                 match):
+    ds, spec, cfg, res = six_phase_run
+    assert res.chain.realized_phases == 6 and cfg.p == 11
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    tamper(loaded)
+    with pytest.raises(InvalidParams, match=match):
+        replay_boost(loaded, ds, spec)
 
 
 def test_too_weak_learner_fails_a_phase(counterexample_dataset):
@@ -153,11 +234,7 @@ def test_replay_reproduces_and_detects_tampering(planted):
 
 
 def test_replay_rejects_a_phase_shorter_than_T():
-    fc = build_class([(0, 1, 0, 2), (1, 1, 0, 2), (0, 0, 2, 1)],
-                     alphabet=(0, 1, 2))
-    ds = planted_dataset(fc, m=25, seed=8)
-    spec = WeakLearnerSpec(CalibratedBrgOracle(gamma=0.4, margin=0.05), m0=ds.m)
-    res = recursive_boost(ds, spec, BoostConfig.from_defaults(m=ds.m, gamma=0.4, seed=5))
+    ds, spec, _cfg, res = _oracle_run(0.4)
     loaded = type(res.record).from_json_dict(res.record.to_json_dict())
     phase = loaded.group("phase-1")
     phase.slots = phase.slots[:-1]
@@ -186,7 +263,7 @@ def test_replay_rejects_extra_hint_slots(monkeypatch):
     assert len(hint_slots) == 2
     hint_slots.append(type(hint_slots[0])(slot=2, indices=hint_slots[0].indices,
                                           pred_hash="deadbeef"))
-    assert (compression_size(res.record), compression_size(loaded)) == (6620, 6630)
+    assert (compression_size(res.record), compression_size(loaded)) == (1340, 1350)
     with pytest.raises(InvalidParams, match="hint"):
         replay_boost(loaded, inp.dataset, inp.spec)
 

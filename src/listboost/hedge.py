@@ -8,7 +8,8 @@ measured on the full weighted dataset, not the drawn sample; a hypothesis is
 evaluated once per distinct training instance. The score table keeps, per
 instance, one row of vote counts indexed by label: how many rounds voted
 that label there. Row sums equal the round count exactly because every
-hypothesis casts one vote.
+hypothesis casts one vote. Elsewhere each distinct hypothesis object is
+asked once and its vote counted once per round that returned it.
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
@@ -41,12 +42,16 @@ class ScoreTable:
     One memo maps each instance to an int64 row indexed by label, at least
     as long as the alphabet. Every training instance's row is counted up
     front from the prediction matrix; any other instance's row is counted
-    the first time it is asked for, evaluating each hypothesis once.
+    the first time it is asked for, calling ``predict`` once per distinct
+    hypothesis object and repeating its vote by that object's multiplicity.
     """
 
     def __init__(self, hypotheses, dataset: Dataset, predictions: np.ndarray):
         self.hypotheses = list(hypotheses)
         self.predictions = predictions  # shape (rounds run, m)
+        slot = {h: i for i, h in enumerate(dict.fromkeys(self.hypotheses))}
+        self.distinct = tuple(slot)  # in first-seen order
+        self._multiplicity = np.bincount([slot[h] for h in self.hypotheses])
         n_inst = len(dataset.unique_instances)
         self._width = max(len(dataset.alphabet), int(predictions.max(initial=-1)) + 1)
         cells = predictions[:, dataset.first_index]  # a copy, then (instance, label) cell ids
@@ -63,7 +68,8 @@ class ScoreTable:
         """Vote count per label at instance x; the row sums to ``total``."""
         row = self._rows.get(x)
         if row is None:
-            row = np.bincount([h.predict(x) for h in self.hypotheses], minlength=self._width)
+            votes = np.array([h.predict(x) for h in self.distinct], dtype=np.int64)
+            row = np.bincount(np.repeat(votes, self._multiplicity), minlength=self._width)
             self._rows[x] = row
         return row
 
@@ -197,7 +203,7 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
         alphas[t - 1] = alpha
         correct_counts += correct
         hypotheses.append(h)
-        rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(int(i) for i in indices),
+        rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(indices.tolist()),
                                  audit=audit))
     run = len(rounds)
     score = ScoreTable(hypotheses, dataset, predictions[:run])

@@ -62,7 +62,7 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     result = _run_rounds(dataset, universal, spec, p, math.inf, index_source, gamma,
                          audit_log, "hint:j")
     slots = round_slots(result, recorded, "hint")
-    hypotheses = result.score.hypotheses
+    distinct = result.score.distinct
     predictions = result.score.predictions
     # residual size after each round; the first round starts from all m examples
     peeled = np.logical_or.accumulate(predictions == dataset.labels, axis=0)
@@ -72,13 +72,13 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     entries = dict(zip(dataset.unique_instances, map(ordered_dedup, columns)))
 
     def extend(x):
-        return ordered_dedup(h.predict(x) for h in hypotheses)
+        return ordered_dedup(h.predict(x) for h in distinct)
 
     mu1 = ListFunction.composed(extend, declared_size=p, entries=entries,
                                 name=f"hint[p={p}]")
     return HintResult(
         mu=mu1,
-        hypotheses=hypotheses,
+        hypotheses=result.score.hypotheses,
         slots=slots,
         residual_sizes=[dataset.m] + left[:-1].tolist(),
         rounds_run=len(result.rounds),

@@ -213,7 +213,7 @@ class ErmListLearner(ListLearner):
         if not sample:
             raise InvalidParams("empty training sample")
         fc = self.finite_class
-        cols = np.array([fc.column_of(ex.instance) for ex in sample], dtype=np.int64)
+        cols = fc.column_ids(ex.instance for ex in sample)
         ys = np.array([ex.label for ex in sample], dtype=np.int64)
         hits = (fc.table[:, cols] == ys).sum(axis=1)
         order = np.argsort(-hits, kind="stable")[: self.k]

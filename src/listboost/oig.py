@@ -99,14 +99,12 @@ class FiniteClass:
         except KeyError:
             raise UnknownInstance(f"instance {key!r} is not a class column") from None
 
-    def row_predictor(self, row: int):
-        """The row'th hypothesis as a plain instance -> label function."""
-        labels = self.table[row]
-
-        def predict(x):
-            return int(labels[self.column_of(x)])
-
-        return predict
+    def column_ids(self, keys) -> np.ndarray:
+        """The column of each key, as an int64 array, in one pass over ``keys``."""
+        try:
+            return np.fromiter(map(self.col_index.__getitem__, keys), dtype=np.int64)
+        except KeyError as exc:
+            raise UnknownInstance(f"instance {exc.args[0]!r} is not a class column") from None
 
     @classmethod
     def from_rows(cls, rows, columns, alphabet=None) -> "FiniteClass":
@@ -858,7 +856,7 @@ def _truncated_mu(mu: ListFunction, k: int, dataset: Dataset, name: str) -> List
 
 
 def _check_realizable(fc: FiniteClass, dataset: Dataset):
-    cols = [fc.column_of(x) for x in dataset.instances]
+    cols = fc.column_ids(dataset.instances)
     hits = fc.table[:, cols] == dataset.labels[np.newaxis, :]
     if not bool(hits.all(axis=1).any()):
         raise NotRealizable("no hypothesis labels the whole sample correctly")

@@ -17,9 +17,10 @@ Test-oracle learners may additionally declare ``distribution_aware`` and get
 the exact weighted view; those are not valid compression-scheme components
 and are flagged as such.
 
-Every learner returns the same kind of hypothesis: a deterministic
-``predict`` function and nothing else. Predictions over a dataset evaluate it
-once per distinct instance and gather the result with ``group_ids``.
+A hypothesis is a deterministic ``predict`` function of one instance. Over a
+dataset, ``predict_distinct`` labels each distinct instance once and
+``group_ids`` gathers the result; a finite-class row (``RowHypothesis``)
+labels them all with one gather from its table row.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .errors import (
     InvalidGamma,
     InvalidParams,
     NonNumericInstance,
-    UnknownInstance,
 )
 from .oig import FiniteClass
 
@@ -53,11 +53,29 @@ class WeakHypothesis:
     def __call__(self, x) -> int:
         return self.predict(x)
 
+    def predict_distinct(self, instances) -> np.ndarray:
+        """Labels of distinct instances as an int64 array; predict runs once on each."""
+        return np.array([self.predict(x) for x in instances], dtype=np.int64)
+
     def predictions_for(self, dataset: Dataset) -> np.ndarray:
-        """Predictions aligned with dataset.examples; predict runs once per distinct instance."""
-        per_instance = np.array([self.predict(x) for x in dataset.unique_instances],
-                                dtype=np.int64)
-        return per_instance[dataset.group_ids]
+        """Predictions aligned with dataset.examples, one label per distinct instance."""
+        return self.predict_distinct(dataset.unique_instances)[dataset.group_ids]
+
+
+class RowHypothesis(WeakHypothesis):
+    """One row of a finite class: a label per class column, read off its table."""
+
+    __slots__ = ("finite_class", "labels")
+
+    def __init__(self, finite_class: FiniteClass, row: int):
+        self.finite_class = finite_class
+        self.labels = finite_class.table[row]
+
+    def predict(self, x) -> int:
+        return int(self.labels[self.finite_class.column_of(x)])
+
+    def predict_distinct(self, instances) -> np.ndarray:
+        return self.labels[self.finite_class.column_ids(instances)]
 
 
 class WeakLearner:
@@ -217,59 +235,42 @@ def audit_brg(hypothesis: WeakHypothesis, dataset: Dataset, dist: ExampleDistrib
 class ErmFiniteLearner(WeakLearner):
     """Pick the class member with the best unweighted sample accuracy.
 
-    Ties break to the lowest row index. The returned hypothesis extends to
-    unseen instances through the chosen row's own table.
+    Ties break to the lowest row index. The returned hypothesis is the chosen
+    row itself, one ``RowHypothesis`` per row for the learner's lifetime.
     """
 
     def __init__(self, finite_class: FiniteClass):
         self.finite_class = finite_class
         self.name = f"erm[{finite_class.size}x{finite_class.n}]"
+        self._rows = {}  # row index -> its hypothesis; at most finite_class.size entries
 
     def train(self, sample, mu=None) -> WeakHypothesis:
         if not sample:
             raise InvalidParams("empty training sample")
         fc = self.finite_class
-        cols = np.array([fc.column_of(ex.instance) for ex in sample], dtype=np.int64)
+        cols = fc.column_ids(ex.instance for ex in sample)
         ys = np.array([ex.label for ex in sample], dtype=np.int64)
         hits = (fc.table[:, cols] == ys).sum(axis=1)
         row = int(np.argmax(hits))  # first max = lowest index
-        return WeakHypothesis(predict=fc.row_predictor(row))
+        if row not in self._rows:
+            self._rows[row] = RowHypothesis(fc, row)
+        return self._rows[row]
 
 
-class TooWeakLearner(WeakLearner):
+class TooWeakLearner(ErmFiniteLearner):
     """The two-hypothesis learner for the three-point gadget {a, b, c}.
 
     Candidate one sends a and b to label 0, candidate two sends them to
-    label 1; both send c to label 2. Whichever has the higher sample accuracy
-    wins, with ties going to candidate one. Each call clears the 1/2 accuracy
-    mark on the gadget, yet no vote over the returned hypotheses can get all
-    three points right.
+    label 1; both send c to label 2. They are the two rows of a finite class,
+    so this is ERM: the higher sample accuracy wins, ties go to candidate one.
+    Each call clears the 1/2 accuracy mark on the gadget, yet no vote over the
+    returned hypotheses can get all three points right.
     """
 
-    name = "too-weak"
-    _H1 = {"a": 0, "b": 0, "c": 2}
-    _H2 = {"a": 1, "b": 1, "c": 2}
-
-    @classmethod
-    def _predictor(cls, table):
-        def predict(x):
-            try:
-                return table[x]
-            except KeyError:
-                raise UnknownInstance(f"three-point learner got {x!r}") from None
-        return predict
-
-    def train(self, sample, mu=None) -> WeakHypothesis:
-        if not sample:
-            raise InvalidParams("empty training sample")
-        score1 = score2 = 0
-        for ex in sample:
-            if ex.instance not in self._H1:
-                raise UnknownInstance(f"three-point learner got {ex.instance!r}")
-            score1 += ex.label == self._H1[ex.instance]
-            score2 += ex.label == self._H2[ex.instance]
-        table = self._H1 if score1 >= score2 else self._H2
-        return WeakHypothesis(predict=self._predictor(table))
+    def __init__(self):
+        super().__init__(FiniteClass(table=[[0, 0, 2], [1, 1, 2]], columns=("a", "b", "c"),
+                                     alphabet=(0, 1, 2)))
+        self.name = "too-weak"
 
 
 class StumpLearner(WeakLearner):

@@ -189,3 +189,34 @@ def test_score_rows_match_a_reference_count_and_evaluate_unseen_instances_once()
         score.counts("d")
         assert score.score("d", 1) == 2
     assert calls["d"] == len(tables)
+
+
+class _RowOrClosureLearner(ErmFiniteLearner):
+    """ERM rows, every other call wrapped in a fresh closure over the chosen row."""
+
+    calls = 0
+
+    def train(self, sample, mu=None):
+        self.calls += 1
+        row = super().train(sample, mu)
+        return row if self.calls % 2 else WeakHypothesis(predict=row.predict)
+
+
+@pytest.mark.parametrize("learner_type", [ErmFiniteLearner, _RowOrClosureLearner])
+def test_score_rows_match_a_count_over_every_stored_hypothesis(learner_type):
+    fc = build_class([(0, 1, 2, 0, 1, 2), (0, 1, 2, 1, 2, 0), (1, 1, 2, 0, 0, 2),
+                      (0, 2, 2, 2, 1, 1), (2, 1, 0, 0, 1, 1)], alphabet=(0, 1, 2))
+    ds = planted_dataset(fc, m=12, seed=4)
+    ds = make_dataset([(x, y) for x, y in zip(ds.instances, ds.labels) if x < 4],
+                      alphabet=fc.alphabet)  # columns 4 and 5 stay unseen
+    res = run_hedge(ds, ListFunction.universal(ds.alphabet),
+                    WeakLearnerSpec(learner_type(fc), m0=3), T=30, eta=0.4,
+                    rng=RandomStream(2, ("mixed",)))
+    score = res.score
+    assert len(score.distinct) < score.total == len(score.hypotheses) == 30
+    if learner_type is _RowOrClosureLearner:  # fresh closures count once each
+        assert len(score.distinct) > 15
+    for x in fc.columns:
+        reference = np.bincount([h.predict(x) for h in score.hypotheses], minlength=3)
+        assert score.counts(x).dtype == np.int64
+        assert score.counts(x).tolist() == reference.tolist()

@@ -1,7 +1,9 @@
 """Staged list boosting: schedules, consistency, failure modes, replay."""
 
+import hashlib
 import importlib.util
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,7 @@ from listboost import (
     replay_boost,
 )
 from listboost.recursive import _phase_denominator
+from listboost.weak_learn import RowHypothesis
 from tests.conftest import build_class, planted_dataset
 
 
@@ -282,3 +285,44 @@ def test_record_meta_round_trip(planted, tmp_path):
     loaded = type(res.record).load(path)
     assert loaded.meta == meta
     assert [g.tag for g in loaded.groups] == [g.tag for g in res.record.groups]
+
+
+def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeypatch):
+    # Scalar predict calls: none while a training set is labelled, and at an
+    # unseen column one per distinct hypothesis of each vote table (the
+    # hint, then every phase).
+    calls = Counter()
+    scalar = RowHypothesis.predict
+
+    def counted(self, x):
+        calls[x] += 1
+        return scalar(self, x)
+
+    monkeypatch.setattr(RowHypothesis, "predict", counted)
+    workloads = _bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    assert not calls
+    tables = [res.hint_result.hypotheses] + [s.hypotheses for s in res.chain.scores]
+    per_table = sum(len(set(hyps)) for hyps in tables)
+    assert per_table < sum(map(len, tables))  # the rounds repeat rows
+    for x in inp.columns:
+        res.predict(x)
+    seen = set(inp.dataset.unique_instances)
+    assert all(calls[x] == 0 for x in seen)
+    unseen = [x for x in inp.columns if x not in seen]
+    assert unseen and all(0 < calls[x] <= per_table for x in unseen)
+
+
+@pytest.mark.parametrize("seed, sha256", [
+    (0, "1701f73756ccaf73ec08a796a25cd67d5625a31eb8dd18ced78fa85d3d41cd24"),
+    (5, "6f7005a816b484a1189a4771fe391fb5432a4219d8e819db6a619b9b50084145"),
+])
+def test_tiny_erm_boost_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
+    # A change that claims "records unchanged" keeps these digests; one that
+    # changes the record on purpose recomputes them and says why.
+    workloads = _bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(seed, 0, workloads.TINY_SIZES["boost-erm"])
+    path = tmp_path / "record.json"
+    recursive_boost(inp.dataset, inp.spec, inp.config).record.dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

@@ -13,6 +13,7 @@ from listboost.weak_learn import (
     CalibratedBrgOracle,
     ConstantLearner,
     ErmFiniteLearner,
+    RowHypothesis,
     StumpLearner,
     TooWeakLearner,
     TrainContext,
@@ -157,3 +158,22 @@ def test_predictions_for_calls_predict_once_per_distinct_instance():
     assert sorted(calls) == ["a", "b", "c"]
     assert preds.dtype == np.int64
     assert preds.tolist() == [table[x] for x in ds.instances]
+
+
+def test_row_hypotheses_reject_non_column_instances_and_are_shared_per_row():
+    fc = build_class([(0, 1, 2), (1, 1, 0)], columns=("a", "b", "c"), alphabet=(0, 1, 2))
+    learner = ErmFiniteLearner(fc)
+    first = learner.train(make_dataset([("a", 0), ("c", 2)], alphabet=fc.alphabet).examples)
+    again = learner.train(make_dataset([("b", 1), ("a", 0)], alphabet=fc.alphabet).examples)
+    other = learner.train(make_dataset([("a", 1)], alphabet=fc.alphabet).examples)
+    assert first is again and other is not first
+    assert isinstance(first, RowHypothesis)
+    assert [first.predict(x) for x in fc.columns] == [0, 1, 2]
+    assert first.predictions_for(make_dataset([("c", 0), ("a", 1), ("c", 2)])).tolist() \
+        == [2, 0, 2]
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        first.predictions_for(make_dataset([("a", 0), ("zzz", 1)]))
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        first.predict("zzz")
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        learner.train(make_dataset([("zzz", 1)]).examples)

@@ -151,9 +151,7 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
                  T: Optional[int] = None, eta: Optional[float] = None,
                  seed: int = 0, audit_log: Optional[BrgAuditLog] = None) -> WeakToListResult:
     """Turn a gamma-edge weak learner into a (k-1)-list function over the sample."""
-    k = smallest_k(gamma)
-    if k < 2:
-        raise InvalidGamma("gamma > 1 has no meaningful vote threshold")
+    k = smallest_k(gamma)  # at least 2: smallest_k rejects gamma > 1
     sigma = gamma - 1.0 / k
     m = dataset.m
     if T is None:
@@ -170,17 +168,22 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
 
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
                         spec: WeakLearnerSpec) -> WeakToListResult:
-    """Rebuild the list function from recorded round indices, verifying fingerprints."""
+    """Rebuild the list function from recorded round indices; k and sigma follow from gamma."""
     meta = record.meta
+    gamma = meta["gamma"]
+    k = smallest_k(gamma)
+    sigma = gamma - 1.0 / k
+    if (meta["k"], meta["sigma"]) != (k, sigma):
+        raise InvalidParams(f"record meta k={meta['k']}, sigma={meta['sigma']} do not follow "
+                            f"from gamma={gamma}: k={k}, sigma={sigma}")
     effective = WeakLearnerSpec(spec.learner, int(meta["m0"]))
     group = record.group("rounds")
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
-                          meta["eta"], gamma=meta["gamma"], audit_tag="w2l:")
+                          meta["eta"], gamma=gamma, audit_tag="w2l:")
     slots = round_slots(result, group.slots, group.tag)
-    return _assemble_weak_to_list(dataset, result, slots, meta["gamma"], int(meta["k"]),
-                                  meta["sigma"], int(meta["T"]), meta["eta"],
-                                  effective, int(meta["seed"]))
+    return _assemble_weak_to_list(dataset, result, slots, gamma, k, sigma, int(meta["T"]),
+                                  meta["eta"], effective, int(meta["seed"]))
 
 
 class ListLearner:

@@ -468,13 +468,19 @@ def oig_list_function(fc: FiniteClass, sample, k: int, strategy: str = "auto",
                                  name=name or f"oig[k={k}]")
 
 
+def _tabled_mu(extend, dataset: Dataset, declared: int, name: str) -> ListFunction:
+    """A composed list function with its table on the sample's distinct instances."""
+    entries = {x: extend(x) for x in dataset.unique_instances}
+    return ListFunction.composed(extend, declared_size=max(1, declared), entries=entries,
+                                 name=name)
+
+
 # ---------------------------------------------------------------------------
 # Greedy cover: a p-list built from q one-inclusion runs, p = k*q.
 
 
 @dataclass
 class CoverRound:
-    round: int
     subset: tuple
     coverage: int
     survivors_before: int
@@ -488,31 +494,76 @@ class CoverResult:
     q: int
     d: int
     rounds: list  # CoverRound per executed round
-    round_mus: list
 
     @property
     def rounds_run(self) -> int:
         return len(self.rounds)
 
 
-def _cover_round_mu(fc: FiniteClass, dataset: Dataset, indices, k: int,
-                    strategy: str, budget: int) -> ListFunction:
-    sample = [dataset.examples[i] for i in indices]
-    return oig_list_function(fc, sample, k, strategy=strategy, budget=budget,
-                             name=f"cover-round[{len(indices)}]")
+def _cover_size(d: int, m: int) -> int:
+    """The cover's round budget q = ceil((d+1) ln 2m), at least 1."""
+    return max(1, math.ceil((d + 1) * math.log(max(2 * m, 2))))
 
 
-def _lists_digest(mu: ListFunction, dataset: Dataset) -> str:
-    return stable_digest(tuple(mu(x) for x in dataset.unique_instances))
+def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candidates,
+                strategy: str, orient_budget: int) -> CoverResult:
+    """Cover the sample in at most q rounds from ``candidates(j, survivors)``.
 
-
-def _concat_mu(round_mus, declared: int, dataset: Dataset, name: str) -> ListFunction:
-    def extend(x):
-        return ordered_dedup(y for mu in round_mus for y in mu(x))
-
-    entries = {x: extend(x) for x in dataset.unique_instances}
-    return ListFunction.composed(extend, declared_size=declared, entries=entries,
-                                 name=name)
+    That gives round j's subsets and whether they are a fallback search. A
+    round keeps the first subset whose list covers at least 1/(d+1) of the
+    survivors (exact integers), scoring each distinct labelled set once on a
+    table at the surviving instances; the kept table is completed on every
+    distinct instance for the slot digest and the concatenated list.
+    """
+    uniq = dataset.unique_instances
+    labels = dataset.labels
+    survivors = list(range(dataset.m))
+    slots, rounds, round_mus = [], [], []
+    for j in range(1, q + 1):
+        if not survivors:
+            break
+        need = len(survivors)
+        subsets, fallback = candidates(j, survivors)
+        xs = ordered_dedup(dataset.instances[i] for i in survivors)
+        best_cov, best_subset = -1, None
+        # The induced list depends only on the set of labelled examples, so a
+        # repeated set covers what its first copy did: it can neither beat
+        # best_cov (strict >) nor clear the bar that copy missed.
+        scored = set()
+        for subset in subsets:
+            sample = tuple(dataset.examples[i] for i in subset)
+            if frozenset(sample) in scored:
+                continue
+            scored.add(frozenset(sample))
+            lists_at = oig_list_function(fc, sample, k, strategy=strategy, budget=orient_budget)
+            table = {x: lists_at(x) for x in xs}
+            covered = [i for i in survivors if int(labels[i]) in table[dataset.instances[i]]]
+            if len(covered) > best_cov:
+                best_cov, best_subset = len(covered), subset
+            if len(covered) * (d + 1) >= need:
+                break
+        else:
+            raise SearchExhausted(
+                f"cover round {j}: best subset covered {best_cov}/{need} survivors "
+                f"(needed {math.ceil(need / (d + 1))}); subset {best_subset}"
+            )
+        table = {x: table[x] if x in table else lists_at(x) for x in uniq}
+        slots.append(HypothesisSlot(slot=j - 1, indices=subset,
+                                    pred_hash=stable_digest(tuple(table.values()))))
+        rounds.append(CoverRound(subset=tuple(subset), coverage=len(covered),
+                                 survivors_before=need, fallback=fallback))
+        round_mus.append(ListFunction.composed(lists_at, declared_size=max(1, k), entries=table,
+                                               name=f"cover-round[{len(subset)}]"))
+        covered_set = set(covered)
+        survivors = [i for i in survivors if i not in covered_set]
+    if survivors:
+        raise SearchExhausted(
+            f"{len(survivors)} example(s) uncovered after {q} rounds"
+        )
+    mu = _tabled_mu(lambda x: ordered_dedup(y for mu_s in round_mus for y in mu_s(x)),
+                    dataset, k * q, f"cover[p={k * q}]")
+    return CoverResult(mu=mu, record_group=RecordGroup(tag="cover", slots=slots),
+                       q=q, d=d, rounds=rounds)
 
 
 def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = None,
@@ -521,82 +572,28 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
     """Greedily cover the sample with q one-inclusion k-lists, q = ceil((d+1) ln 2m).
 
     Each round looks for a subset of at most d surviving examples whose
-    induced list covers at least 1/(d+1) of the survivors (checked in exact
-    integer arithmetic); covered examples are then removed. The search is
-    exhaustive over subsets when that fits the budget, otherwise it draws
-    seeded random subsets and the fallback is recorded per round. A round
-    scores each distinct set of labelled examples once, at each distinct
-    surviving instance.
+    induced list covers at least 1/(d+1) of the survivors; covered examples
+    are then removed. The search is exhaustive over subsets when that fits
+    the budget, otherwise it draws seeded random subsets and the fallback is
+    recorded per round.
     """
     if d is None:
         d = kds_dimension(fc, k)
     if d < 0:
         raise InvalidParams("dimension d must be non-negative")
-    m = dataset.m
-    q = max(1, math.ceil((d + 1) * math.log(max(2 * m, 2))))
     rng = rng if rng is not None else RandomStream(0, ("cover",))
-    survivors = list(range(m))
-    labels = dataset.labels
-    slots = []
-    rounds = []
-    round_mus = []
-    for j in range(1, q + 1):
-        if not survivors:
-            break
+
+    def candidates(j, survivors):
         need = len(survivors)
-        exhaustive = all(
-            math.comb(need, s) <= search_budget for s in range(min(d, need) + 1)
-        )
-        if exhaustive:
-            def subset_iter():
-                for s in range(min(d, need), -1, -1):
-                    yield from itertools.combinations(survivors, s)
-        else:
-            def subset_iter():
-                gen = rng.child("round", j).generator()
-                for _ in range(search_budget):
-                    draw = gen.choice(need, size=d, replace=True)
-                    yield tuple(sorted({survivors[i] for i in draw}))
-        best_cov, best_subset = -1, None
-        chosen = None
-        # The induced list depends only on the set of labelled examples, so a
-        # repeated set covers what its first copy did: it can neither beat
-        # best_cov (strict >) nor clear the bar that copy missed.
-        scored = set()
-        xs = ordered_dedup(dataset.instances[i] for i in survivors)
-        for subset in subset_iter():
-            key = frozenset(dataset.examples[i] for i in subset)
-            if key in scored:
-                continue
-            scored.add(key)
-            mu_s = _cover_round_mu(fc, dataset, subset, k, strategy, orient_budget)
-            lists = {x: mu_s(x) for x in xs}
-            covered = [i for i in survivors if int(labels[i]) in lists[dataset.instances[i]]]
-            if len(covered) > best_cov:
-                best_cov, best_subset = len(covered), subset
-            if len(covered) * (d + 1) >= need:
-                chosen = (subset, mu_s, covered)
-                break
-        if chosen is None:
-            raise SearchExhausted(
-                f"cover round {j}: best subset covered {best_cov}/{need} survivors "
-                f"(needed {math.ceil(need / (d + 1))}); subset {best_subset}"
-            )
-        subset, mu_s, covered = chosen
-        slots.append(HypothesisSlot(slot=j - 1, indices=subset,
-                                    pred_hash=_lists_digest(mu_s, dataset)))
-        rounds.append(CoverRound(round=j, subset=tuple(subset), coverage=len(covered),
-                                 survivors_before=need, fallback=not exhaustive))
-        round_mus.append(mu_s)
-        covered_set = set(covered)
-        survivors = [i for i in survivors if i not in covered_set]
-    if survivors:
-        raise SearchExhausted(
-            f"{len(survivors)} example(s) uncovered after {q} rounds"
-        )
-    mu = _concat_mu(round_mus, max(1, k * q), dataset, name=f"cover[p={k * q}]")
-    return CoverResult(mu=mu, record_group=RecordGroup(tag="cover", slots=slots),
-                       q=q, d=d, rounds=rounds, round_mus=round_mus)
+        if all(math.comb(need, s) <= search_budget for s in range(min(d, need) + 1)):
+            return (c for s in range(min(d, need), -1, -1)
+                    for c in itertools.combinations(survivors, s)), False
+        gen = rng.child("round", j).generator()
+        return (tuple(sorted({survivors[i] for i in gen.choice(need, size=d, replace=True)}))
+                for _ in range(search_budget)), True
+
+    return _cover_loop(fc, dataset, k, d, _cover_size(d, dataset.m), candidates, strategy,
+                       orient_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +607,6 @@ class WrongLabelResult:
     p: int
     n_u: int
     ell: int
-    game_rounds: list  # {t, coverage, fallback}
     max_true_vote: float
     consistent: bool
 
@@ -622,33 +618,50 @@ def _min_excluded(labels: tuple, p: int) -> int:
     raise InvalidParams("list already spans all labels")
 
 
-def _slot_predictions(fc: FiniteClass, sample, uniq, p: int, strategy: str,
+def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strategy: str,
                       budget: int):
-    """Each unique instance's (p-1)-list under the sample, and its min-excluded label."""
+    """Each unique instance's (p-1)-list under the slot, and its min-excluded label."""
+    sample = [dataset.examples[i] for i in indices]
     lists = [one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy,
-                                        budget=budget).labels for x in uniq]
+                                        budget=budget).labels for x in dataset.unique_instances]
     return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
 
 
-def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_samples, slot_preds, draws,
+def _wrong_label_group(tag: str, slot_indices, slot_preds, draws) -> RecordGroup:
+    """Each slot's indices and prediction digest, and the drawn slot ids."""
+    slots = [HypothesisSlot(slot=sid, indices=indices,
+                            pred_hash=stable_digest(tuple(preds.tolist())))
+             for sid, (indices, preds) in enumerate(zip(slot_indices, slot_preds))]
+    return RecordGroup(tag=tag, slots=slots, draws=list(map(int, draws)))
+
+
+def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_indices, slot_preds, draws,
                       p: int, strategy: str, budget: int):
     """Tally the drawn slots' wrong-label votes; the list drops each instance's plurality.
 
-    Returns the (unique instances x p) vote counts, the plurality label per
-    unique instance (ties to the lowest label) and the list function.
+    The plurality (ties to the lowest label) must miss every training label,
+    else GameNotConverged. Returns the largest true-label vote mass and the
+    list function.
     """
     uniq = dataset.unique_instances
-    slot_counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=len(slot_samples))
+    gid = dataset.group_ids
+    slot_counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=len(slot_preds))
     vote_counts = np.zeros((len(uniq), p), dtype=np.int64)
-    for sid, cnt in enumerate(slot_counts):
-        if cnt:
-            np.add.at(vote_counts, (np.arange(len(uniq)), slot_preds[sid]), int(cnt))
+    np.add.at(vote_counts, (np.arange(len(uniq)), np.stack(slot_preds)), slot_counts[:, None])
     argmax_rows = np.argmax(vote_counts, axis=1)
+    max_true_vote = float(vote_counts[gid, dataset.labels].max() / len(draws))
+    bad = int((dataset.labels == argmax_rows[gid]).sum())
+    if bad:
+        raise GameNotConverged(
+            f"wrong-label vote hit the true label on {bad} of {dataset.m} example(s); "
+            f"max true-label vote mass {max_true_vote:.4f} (threshold {1.0 / (2 * p):.4f})"
+        )
     entries = {
         x: tuple(y for y in range(p) if y != int(argmax_rows[g]))
         for g, x in enumerate(uniq)
     }
-    supports = [(sample, cnt) for sample, cnt in zip(slot_samples, slot_counts) if cnt > 0]
+    supports = [([dataset.examples[i] for i in indices], cnt)
+                for indices, cnt in zip(slot_indices, slot_counts) if cnt > 0]
 
     def extend(x):
         votes = np.zeros(p, dtype=np.int64)
@@ -661,7 +674,7 @@ def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_samples, slot_pred
 
     mu = ListFunction.composed(extend, declared_size=max(1, p - 1), entries=entries,
                                name=f"wrong-label[p={p}]")
-    return vote_counts, argmax_rows, mu
+    return max_true_vote, mu
 
 
 def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
@@ -684,42 +697,30 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
         raise InvalidParams("wrong-label game needs at least two labels")
     m = dataset.m
     uniq = dataset.unique_instances
-    gid = dataset.group_ids
-    labels = dataset.labels
     rng = rng if rng is not None else RandomStream(0, ("wrong-label",))
     n_u = 4 * p * d
     target = 1.0 - 1.0 / (4.0 * p)
     eta = math.sqrt(math.log(max(m, 2)) / (2.0 * max(game_iters, 1)))
     log_w = np.zeros(m, dtype=np.float64)
 
-    slot_by_key = {}
-    slot_samples = []
-    slot_indices = []
+    slot_by_key = {}  # per slot: its example indices -> its slot id
     slot_preds = []   # per slot: f_U over unique instances
     slot_covers = []  # per slot: bool per example, y_i in mu_U(x_i)
     bag = []
-    game_rounds = []
 
     def preds_for(indices):
         key = tuple(int(i) for i in indices)
-        if key in slot_by_key:
-            return slot_by_key[key]
-        sample = tuple(dataset.examples[i] for i in key)
-        lists, preds = _slot_predictions(fc, sample, uniq, p, strategy, orient_budget)
-        covers = coverage_mask(dataset, dict(zip(uniq, lists)).get)
-        sid = len(slot_samples)
-        slot_by_key[key] = sid
-        slot_samples.append(sample)
-        slot_indices.append(key)
-        slot_preds.append(preds)
-        slot_covers.append(covers)
-        return sid
+        if key not in slot_by_key:
+            lists, preds = _slot_predictions(fc, dataset, key, p, strategy, orient_budget)
+            slot_by_key[key] = len(slot_by_key)
+            slot_preds.append(preds)
+            slot_covers.append(coverage_mask(dataset, dict(zip(uniq, lists)).get))
+        return slot_by_key[key]
 
     for t in range(1, game_iters + 1):
         w = np.exp(log_w - log_w.max())
         dist = w / w.sum()
         best_sid, best_mass = None, -1.0
-        hit = False
         for attempt in range(1, response_tries + 1):
             gen = rng.child("game", t, attempt).generator()
             draw = gen.choice(m, size=n_u, replace=True, p=dist) if n_u else np.empty(0, dtype=np.int64)
@@ -728,35 +729,19 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
             if mass > best_mass:
                 best_sid, best_mass = sid, mass
             if mass >= target - 1e-12:
-                hit = True
                 break
         bag.append(best_sid)
-        game_rounds.append({"t": t, "coverage": best_mass, "fallback": not hit})
         log_w += eta * (~slot_covers[best_sid]).astype(np.float64)
 
     ell = math.ceil(8.0 * p * p * math.log(max(2 * m, 2)))
     draw_gen = rng.child("draws").generator()
     draws = [bag[int(i)] for i in draw_gen.integers(len(bag), size=ell)]
-    vote_counts, argmax_rows, mu = _wrong_label_vote(fc, dataset, slot_samples, slot_preds,
-                                                     draws, p, strategy, orient_budget)
-    bad = [i for i in range(m) if int(labels[i]) == int(argmax_rows[gid[i]])]
-    max_true_vote = float(
-        max(vote_counts[gid[i], int(labels[i])] for i in range(m)) / ell
-    )
-    if bad:
-        raise GameNotConverged(
-            f"wrong-label vote hit the true label on {len(bad)} of {m} example(s); "
-            f"max true-label vote mass {max_true_vote:.4f} (threshold {1.0 / (2 * p):.4f})"
-        )
-    slots = [
-        HypothesisSlot(slot=sid, indices=slot_indices[sid],
-                       pred_hash=stable_digest(tuple(slot_preds[sid].tolist())))
-        for sid in range(len(slot_samples))
-    ]
-    group = RecordGroup(tag=tag, slots=slots, draws=list(map(int, draws)))
+    slot_indices = list(slot_by_key)
+    max_true_vote, mu = _wrong_label_vote(fc, dataset, slot_indices, slot_preds, draws, p,
+                                          strategy, orient_budget)
+    group = _wrong_label_group(tag, slot_indices, slot_preds, draws)
     return WrongLabelResult(mu=mu, record_group=group, p=p, n_u=n_u, ell=ell,
-                            game_rounds=game_rounds, max_true_vote=max_true_vote,
-                            consistent=True)
+                            max_true_vote=max_true_vote, consistent=True)
 
 
 # ---------------------------------------------------------------------------
@@ -765,10 +750,7 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
 
 @dataclass
 class ListPacRound:
-    round: int
     p_j: int
-    class_rows: int
-    max_list_len: int
     max_true_vote: float
 
 
@@ -776,7 +758,6 @@ class ListPacRound:
 class ListPacResult:
     mu: ListFunction
     record: CompressionRecord
-    cover: CoverResult
     rounds: list  # ListPacRound per executed round
     k: int
     d: int
@@ -800,59 +781,35 @@ def _relabel_round(fc: FiniteClass, dataset: Dataset, mu: ListFunction, p_j: int
     Hypotheses with any off-list cell are dropped; positions index into
     mu(column), so the new alphabet is [p_j] even where lists run short.
     """
-    n_alpha = len(fc.alphabet)
-    keep = np.ones(fc.size, dtype=bool)
-    new_cols = []
-    col_lists = {}
+    pos_map = np.full((fc.n, len(fc.alphabet)), -1, dtype=np.int64)  # (column, label)
     for jc, key in enumerate(fc.columns):
         lst = mu(key)
-        col_lists[key] = lst
-        pos_map = np.full(n_alpha, -1, dtype=np.int64)
-        for pos, y in enumerate(lst):
-            pos_map[y] = pos
-        mapped = pos_map[fc.table[:, jc]]
-        keep &= mapped >= 0
-        new_cols.append(mapped)
+        pos_map[jc, list(lst)] = np.arange(len(lst))
+    mapped = pos_map[np.arange(fc.n), fc.table]
+    keep = (mapped >= 0).all(axis=1)
     if not keep.any():
         raise NotRealizable(
             "no hypothesis stays inside the current lists on every column"
         )
-    rows = np.stack(new_cols, axis=1)[keep]
-    sub_fc = FiniteClass.from_rows(rows, fc.columns, alphabet=tuple(range(p_j)))
-    pairs = []
-    for ex in dataset.examples:
-        lst = col_lists.get(ex.instance)
-        if lst is None:
-            lst = mu(ex.instance)
-        if ex.label not in lst:
-            raise GameNotConverged(
-                f"true label {ex.label} fell out of the list at instance {ex.instance!r}"
-            )
-        pairs.append((ex.instance, lst.index(ex.label)))
-    sub_dataset = make_dataset(pairs, alphabet=tuple(range(p_j)))
-    return sub_fc, sub_dataset
+    sub_fc = FiniteClass.from_rows(mapped[keep], fc.columns, alphabet=tuple(range(p_j)))
+    # every sample instance is a class column: the sample passed _check_realizable
+    pos = pos_map[fc.column_ids(dataset.instances), dataset.labels]
+    if (pos < 0).any():
+        i = int(np.argmax(pos < 0))
+        raise GameNotConverged(f"true label {dataset.labels[i]} fell out of the list at "
+                               f"instance {dataset.instances[i]!r}")
+    return sub_fc, make_dataset(zip(dataset.instances, pos.tolist()),
+                                alphabet=tuple(range(p_j)))
 
 
-def _position_filter_mu(prev_mu: ListFunction, tilde_mu: ListFunction, declared: int,
-                        dataset: Dataset, name: str) -> ListFunction:
-    """Pull a position list back through prev_mu, skipping out-of-range slots."""
+def _pulled_back(prev_mu: ListFunction, tilde_mu: ListFunction):
+    """x -> the entries of prev_mu(x) at the positions tilde_mu(x) keeps, in range."""
 
     def extend(x):
         lst = prev_mu(x)
         return tuple(lst[pos] for pos in tilde_mu(x) if pos < len(lst))
 
-    entries = {x: extend(x) for x in dataset.unique_instances}
-    return ListFunction.composed(extend, declared_size=max(1, declared),
-                                 entries=entries, name=name)
-
-
-def _truncated_mu(mu: ListFunction, k: int, dataset: Dataset, name: str) -> ListFunction:
-    def extend(x):
-        return mu(x)[:k]
-
-    entries = {x: extend(x) for x in dataset.unique_instances}
-    return ListFunction.composed(extend, declared_size=max(1, k), entries=entries,
-                                 name=name)
+    return extend
 
 
 def _check_realizable(fc: FiniteClass, dataset: Dataset):
@@ -860,6 +817,58 @@ def _check_realizable(fc: FiniteClass, dataset: Dataset):
     hits = fc.table[:, cols] == dataset.labels[np.newaxis, :]
     if not bool(hits.all(axis=1).any()):
         raise NotRealizable("no hypothesis labels the whole sample correctly")
+
+
+# The record meta keys that are run parameters, in record order after "m".
+_LISTPAC_PARAMS = ("seed", "strategy", "orient_budget", "search_budget", "game_iters",
+                   "response_tries")
+
+
+def _list_pac_core(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int],
+                   params: dict, cover_runner, round_runner) -> ListPacResult:
+    """The list PAC run that training and replay share.
+
+    ``cover_runner(d, q)`` gives the CoverResult and ``round_runner(j, sub_fc,
+    sub_dataset, d)`` round j's position list, record group and largest
+    true-label vote mass: training searches for them, replay rebuilds them.
+    All else (q, p, stop rule, relabelling, filters, record) is done here.
+    """
+    if k < 1:
+        raise InvalidParams(f"list size k must be at least 1, got {k!r}")
+    _check_realizable(fc, dataset)
+    if d is None:
+        d = kds_dimension(fc, k, budget=params["orient_budget"])
+    q = _cover_size(d, dataset.m)
+    p = k * q
+    cover = cover_runner(d, q)
+    mu = cover.mu
+    rounds = []
+    groups = [cover.record_group]
+    for j in range(1, p - k + 1):
+        if max(len(mu(x)) for x in dataset.unique_instances) <= k:
+            break
+        p_j = p - j + 1
+        sub_fc, sub_dataset = _relabel_round(fc, dataset, mu, p_j)
+        tilde, group, max_true_vote = round_runner(j, sub_fc, sub_dataset, d)
+        mu = _tabled_mu(_pulled_back(mu, tilde), dataset, p - j, f"listpac-mu[{j + 1}]")
+        groups.append(group)
+        rounds.append(ListPacRound(p_j=p_j, max_true_vote=max_true_vote))
+    early_stopped = len(rounds) < p - k
+    final = _tabled_mu(lambda x: mu(x)[:k], dataset, k, f"listpac[k={k}]")
+    consistent = bool(coverage_mask(dataset, final).all())
+    record = CompressionRecord(
+        pipeline="oig-listpac",
+        meta={
+            "k": k, "d": d, "p": p, "q": q, "m": dataset.m, **params,
+            "rounds_run": len(rounds), "early_stopped": early_stopped,
+            "class_fingerprint": fc.fingerprint, "alphabet_size": len(fc.alphabet),
+            "compression_safe": True,
+        },
+        groups=groups,
+    )
+    return ListPacResult(mu=final, record=record, rounds=rounds, k=k,
+                         d=d, p=p, q=q, early_stopped=early_stopped,
+                         consistent_on_train=consistent)
 
 
 def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
@@ -875,63 +884,43 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
     everything needed to replay the run deterministically goes into the
     returned record.
     """
-    if k < 1:
-        raise InvalidParams(f"list size k must be at least 1, got {k!r}")
-    _check_realizable(fc, dataset)
-    if d is None:
-        d = kds_dimension(fc, k, budget=orient_budget)
     rs = RandomStream(seed, ("listpac",))
-    cover = initial_cover(fc, dataset, k, d=d, search_budget=search_budget,
-                          rng=rs.child("cover"), strategy=strategy,
-                          orient_budget=orient_budget)
-    q = cover.q
-    p = k * q
-    mu = cover.mu
-    uniq = dataset.unique_instances
-    rounds = []
-    groups = [cover.record_group]
-    early_stopped = False
-    for j in range(1, p - k + 1):
-        train_max = max(len(mu(x)) for x in uniq)
-        if train_max <= k:
-            early_stopped = True
-            break
-        p_j = p - j + 1
-        sub_fc, sub_dataset = _relabel_round(fc, dataset, mu, p_j)
-        wl = wrong_label_learner(sub_fc, sub_dataset, d,
-                                 rng=rs.child("round", j), game_iters=game_iters,
-                                 response_tries=response_tries, strategy=strategy,
-                                 orient_budget=orient_budget, tag=f"round:{j}")
-        mu = _position_filter_mu(mu, wl.mu, p - j, dataset, name=f"listpac-mu[{j + 1}]")
-        groups.append(wl.record_group)
-        rounds.append(ListPacRound(round=j, p_j=p_j, class_rows=sub_fc.size,
-                                   max_list_len=max(len(mu(x)) for x in uniq),
-                                   max_true_vote=wl.max_true_vote))
-    final = _truncated_mu(mu, k, dataset, name=f"listpac[k={k}]")
-    consistent = bool(coverage_mask(dataset, final).all())
-    record = CompressionRecord(
-        pipeline="oig-listpac",
-        meta={
-            "k": k, "d": d, "p": p, "q": q, "m": dataset.m, "seed": seed,
-            "strategy": strategy, "orient_budget": orient_budget,
-            "search_budget": search_budget, "game_iters": game_iters,
-            "response_tries": response_tries, "rounds_run": len(rounds),
-            "early_stopped": early_stopped, "class_fingerprint": fc.fingerprint,
-            "alphabet_size": len(fc.alphabet), "compression_safe": True,
-        },
-        groups=groups,
-    )
-    return ListPacResult(mu=final, record=record, cover=cover, rounds=rounds, k=k,
-                         d=d, p=p, q=q, early_stopped=early_stopped,
-                         consistent_on_train=consistent)
+
+    def cover_runner(d, q):
+        return initial_cover(fc, dataset, k, d=d, search_budget=search_budget,
+                             rng=rs.child("cover"), strategy=strategy,
+                             orient_budget=orient_budget)
+
+    def round_runner(j, sub_fc, sub_dataset, d):
+        wl = wrong_label_learner(sub_fc, sub_dataset, d, rng=rs.child("round", j),
+                                 game_iters=game_iters, response_tries=response_tries,
+                                 strategy=strategy, orient_budget=orient_budget,
+                                 tag=f"round:{j}")
+        return wl.mu, wl.record_group, wl.max_true_vote
+
+    params = dict(seed=seed, strategy=strategy, orient_budget=orient_budget,
+                  search_budget=search_budget, game_iters=game_iters,
+                  response_tries=response_tries)
+    return _list_pac_core(fc, dataset, k, d, params, cover_runner, round_runner)
+
+
+def _first_difference(rebuilt: dict, given: dict) -> str:
+    """Where two record dicts first disagree: a meta key, else a group, else the header."""
+    new, old = rebuilt["meta"], given["meta"]
+    where = [f"meta key {key!r} (replayed {new.get(key)!r}, recorded {old.get(key)!r})"
+             for key in {**old, **new} if (key in new, new.get(key)) != (key in old, old.get(key))]
+    where += [f"group {(g or h)['tag']!r}" for g, h in
+              itertools.zip_longest(given["groups"], rebuilt["groups"]) if g != h]
+    return (where + ["the header"])[0]
 
 
 def replay_list_pac(record: CompressionRecord, dataset: Dataset,
                     finite_class: FiniteClass) -> ListFunction:
-    """Rebuild the k-list from a record, the sample, and the class it came from.
+    """Rebuild the k-list by running k_list_pac_learn's code on the record's slots.
 
-    Every replayed hypothesis is re-fingerprinted against the recorded hash;
-    any disagreement raises NonDeterministicLearner.
+    Every replayed hypothesis is re-fingerprinted (NonDeterministicLearner on
+    a mismatch). q, p and the number of rounds are derived, not read, and the
+    rebuilt record must equal the given one, else InvalidParams names where.
     """
     meta = record.meta
     fc = finite_class
@@ -939,28 +928,35 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
         raise InvalidParams("replaying a list PAC record requires the finite class")
     if meta.get("class_fingerprint") != fc.fingerprint:
         raise InvalidParams("record was built from a different finite class")
+    if any(key not in meta for key in ("k", "d") + _LISTPAC_PARAMS):
+        raise InvalidParams(f"record meta lacks one of {('k', 'd') + _LISTPAC_PARAMS}")
     k = int(meta["k"])
-    p = int(meta["p"])
-    q = int(meta["q"])
-    strategy = meta.get("strategy", "auto")
-    orient_budget = int(meta.get("orient_budget", 10**6))
-    cover_slots = record.group("cover").slots
-    round_mus = [_cover_round_mu(fc, dataset, tuple(s.indices), k, strategy, orient_budget)
-                 for s in cover_slots]
-    check_fingerprints(cover_slots, [_lists_digest(mu_s, dataset) for mu_s in round_mus],
-                       "cover")
-    mu = _concat_mu(round_mus, max(1, k * q), dataset, name=f"cover[p={k * q}]")
-    for j in range(1, int(meta["rounds_run"]) + 1):
-        group = record.group(f"round:{j}")
-        p_j = p - j + 1
-        sub_fc, sub_dataset = _relabel_round(fc, dataset, mu, p_j)
-        uniq = sub_dataset.unique_instances
-        samples = [tuple(sub_dataset.examples[i] for i in s.indices) for s in group.slots]
-        preds = [_slot_predictions(sub_fc, sample, uniq, p_j, strategy, orient_budget)[1]
-                 for sample in samples]
-        check_fingerprints(group.slots, [stable_digest(tuple(v.tolist())) for v in preds],
-                           group.tag)
-        _, _, tilde = _wrong_label_vote(sub_fc, sub_dataset, samples, preds, group.draws,
-                                        p_j, strategy, orient_budget)
-        mu = _position_filter_mu(mu, tilde, p - j, dataset, name=f"listpac-mu[{j + 1}]")
-    return _truncated_mu(mu, k, dataset, name=f"listpac[k={k}]")
+    strategy, orient_budget = meta["strategy"], meta["orient_budget"]
+
+    def cover_runner(d, q):
+        slots = record.group("cover").slots
+        cover = _cover_loop(fc, dataset, k, d, q,
+                            lambda j, _: ([s.indices for s in slots[j - 1:j]], False),
+                            strategy, orient_budget)
+        check_fingerprints(slots, [s.pred_hash for s in cover.record_group.slots], "cover")
+        return cover
+
+    def round_runner(j, sub_fc, sub_dataset, d):
+        recorded = record.group(f"round:{j}")
+        p_j = len(sub_fc.alphabet)
+        indices = [s.indices for s in recorded.slots]
+        preds = [_slot_predictions(sub_fc, sub_dataset, idx, p_j, strategy, orient_budget)[1]
+                 for idx in indices]
+        group = _wrong_label_group(recorded.tag, indices, preds, recorded.draws)
+        check_fingerprints(recorded.slots, [s.pred_hash for s in group.slots], recorded.tag)
+        max_true_vote, tilde = _wrong_label_vote(sub_fc, sub_dataset, indices, preds,
+                                                 recorded.draws, p_j, strategy, orient_budget)
+        return tilde, group, max_true_vote
+
+    rebuilt = _list_pac_core(fc, dataset, k, int(meta["d"]),
+                             {key: meta[key] for key in _LISTPAC_PARAMS},
+                             cover_runner, round_runner)
+    want, got = rebuilt.record.to_json_dict(), record.to_json_dict()
+    if want != got:
+        raise InvalidParams(f"record does not match its replay at {_first_difference(want, got)}")
+    return rebuilt.mu

@@ -1,4 +1,7 @@
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,17 @@ from listboost.oig import FiniteClass
 @pytest.fixture
 def counterexample_dataset():
     return make_dataset([("a", 0), ("b", 1), ("c", 2)], alphabet=(0, 1, 2))
+
+
+def bench_workloads(monkeypatch):
+    """The benchmark's workload module, for its seeded input builders and sizes."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while the class is built
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_class(rows, columns=None, alphabet=None):

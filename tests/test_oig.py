@@ -5,6 +5,8 @@ computed with a separate brute-force enumerator over the same six small
 classes before this module existed.
 """
 
+import copy
+import hashlib
 import itertools
 import math
 
@@ -36,8 +38,9 @@ from listboost import (
     wrong_label_learner,
 )
 from listboost import oig
+from listboost.compression import CompressionRecord
 from listboost.core import make_dataset, stable_digest
-from tests.conftest import build_class, planted_dataset
+from tests.conftest import bench_workloads, build_class, planted_dataset
 
 # name -> (optimal max out-degree for k=1..3, dimension for k=1..2)
 FROZEN = {
@@ -368,6 +371,98 @@ def test_replay_list_pac_guards(catalog):
         replay_list_pac(res.record, ds, None)
     with pytest.raises(InvalidParams):
         replay_list_pac(res.record, ds, catalog["hexagon"])
+
+
+def _tiny_listpac(monkeypatch, seed):
+    """The tiny listpac-oig input of the benchmark, and its record; one round runs."""
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_listpac_oig(seed, 0, workloads.TINY_SIZES["listpac-oig"])
+    res = k_list_pac_learn(inp.finite_class, inp.dataset, inp.k, seed=seed)
+    assert res.rounds_run == 1
+    return inp, res
+
+
+def _set_meta(key, value):
+    return lambda rec: rec["meta"].__setitem__(key, value(rec["meta"][key]))
+
+
+def _drop_round_one(rec):
+    rec["meta"]["rounds_run"] = 0
+    rec["groups"] = [g for g in rec["groups"] if g["tag"] != "round:1"]
+
+
+def _append_round(rec):
+    rec["groups"].append(dict(rec["groups"][-1], tag="round:9"))
+
+
+def _cover_draws(rec):
+    rec["groups"][0]["draws"] = [0] * len(rec["groups"][0]["slots"])
+
+
+@pytest.mark.parametrize("tamper", [
+    _set_meta("rounds_run", lambda v: 0),
+    _drop_round_one,
+    _set_meta("q", lambda v: v + 1),
+    _set_meta("p", lambda v: v + 1),
+    _set_meta("m", lambda v: v + 1),
+    _set_meta("d", lambda v: v + 1),
+    _set_meta("early_stopped", lambda v: not v),
+    _append_round,
+    _cover_draws,
+], ids=["rounds_run=0", "rounds_run=0-without-round:1", "q+1", "p+1", "m+1", "d+1",
+        "early_stopped", "appended-round:9", "cover-draws"])
+def test_replay_list_pac_rejects_a_record_it_does_not_rebuild(monkeypatch, tamper):
+    inp, res = _tiny_listpac(monkeypatch, 0)
+    obj = copy.deepcopy(res.record.to_json_dict())
+    tamper(obj)
+    with pytest.raises((InvalidParams, NonDeterministicLearner)):
+        replay_list_pac(CompressionRecord.from_json_dict(obj), inp.dataset, inp.finite_class)
+
+
+def test_replay_list_pac_names_the_first_difference(monkeypatch):
+    inp, res = _tiny_listpac(monkeypatch, 0)
+    obj = copy.deepcopy(res.record.to_json_dict())
+    obj["meta"]["rounds_run"] = 0
+    with pytest.raises(InvalidParams, match="meta key 'rounds_run' .replayed 1, recorded 0"):
+        replay_list_pac(CompressionRecord.from_json_dict(obj), inp.dataset, inp.finite_class)
+    obj = copy.deepcopy(res.record.to_json_dict())
+    _cover_draws(obj)
+    with pytest.raises(InvalidParams, match="group 'cover'"):
+        replay_list_pac(CompressionRecord.from_json_dict(obj), inp.dataset, inp.finite_class)
+
+
+def test_replay_list_pac_predicts_each_slot_once_per_instance(monkeypatch):
+    # Every class column is in the sample, so no list is extended past its
+    # table: a replay predicts each recorded slot once at each distinct instance.
+    inp, res = _tiny_listpac(monkeypatch, 0)
+    assert set(inp.dataset.unique_instances) == set(inp.finite_class.columns)
+    calls = 0
+    predict = oig.one_inclusion_list_predict
+
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(oig, "one_inclusion_list_predict", counting)
+    lists = replay_list_pac(res.record, inp.dataset, inp.finite_class)
+    assert [lists(c) for c in inp.finite_class.columns] == \
+        [res.mu(c) for c in inp.finite_class.columns]
+    n_slots = sum(len(g.slots) for g in res.record.groups)
+    assert calls == n_slots * len(inp.dataset.unique_instances)
+
+
+@pytest.mark.parametrize("seed,sha256", [
+    (0, "2d88524f66607fea353d67d81d7d6f31c6cad1709d3728b4b2a428e58fe5119c"),
+    (5, "1558c0724bb8c7129787dd5555be43b574bfd909e9f9e8dd59eb0efa61238bbb"),
+])
+def test_tiny_listpac_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
+    # A change that claims "records unchanged" keeps these digests; one that
+    # changes the record on purpose recomputes them and says why.
+    inp, res = _tiny_listpac(monkeypatch, seed)
+    path = tmp_path / "record.json"
+    res.record.dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
 def _hamming_ball(labels, columns):

@@ -1,10 +1,7 @@
 """Staged list boosting: schedules, consistency, failure modes, replay."""
 
 import hashlib
-import importlib.util
-import sys
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,7 +28,7 @@ from listboost import (
 )
 from listboost.recursive import _phase_denominator
 from listboost.weak_learn import RowHypothesis
-from tests.conftest import build_class, planted_dataset
+from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
 def test_schedule_constants_frozen():
@@ -179,11 +176,6 @@ def test_too_weak_learner_fails_a_phase(counterexample_dataset):
 def test_phase_failure_zero_when_hint_cannot_cover(counterexample_dataset):
     ds = counterexample_dataset
 
-    class OnlyA(TooWeakLearner):
-        def train(self, sample, mu=None):
-            h = super().train(sample, mu)
-            return h
-
     spec = WeakLearnerSpec(TooWeakLearner(), m0=ds.m)
     # p=1 gives the hint a single round; both candidate stumps miss at least
     # one point, so coverage cannot complete.
@@ -245,20 +237,10 @@ def test_replay_rejects_a_phase_shorter_than_T():
         replay_boost(loaded, ds, spec)
 
 
-def _bench_workloads(monkeypatch):
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    # its dataclasses look their module up by name while the class is built
-    monkeypatch.setitem(sys.modules, spec.name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_replay_rejects_extra_hint_slots(monkeypatch):
     # The tiny boost-erm input of the benchmark, seed 0: its hint empties the
     # residual in two rounds, so a third recorded slot is never replayed.
-    workloads = _bench_workloads(monkeypatch)
+    workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
     loaded = type(res.record).from_json_dict(res.record.to_json_dict())
@@ -299,7 +281,7 @@ def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeyp
         return scalar(self, x)
 
     monkeypatch.setattr(RowHypothesis, "predict", counted)
-    workloads = _bench_workloads(monkeypatch)
+    workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
     assert not calls
@@ -321,7 +303,7 @@ def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeyp
 def test_tiny_erm_boost_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
     # A change that claims "records unchanged" keeps these digests; one that
     # changes the record on purpose recomputes them and says why.
-    workloads = _bench_workloads(monkeypatch)
+    workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(seed, 0, workloads.TINY_SIZES["boost-erm"])
     path = tmp_path / "record.json"
     recursive_boost(inp.dataset, inp.spec, inp.config).record.dump(path)

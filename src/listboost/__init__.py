@@ -106,6 +106,7 @@ from .oig import (
     load_finite_class,
     oig_list_function,
     one_inclusion_list_predict,
+    one_inclusion_lists,
     replay_list_pac,
     restrict_class,
     save_finite_class,

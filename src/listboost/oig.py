@@ -5,6 +5,14 @@ instance keys, cells are labels. The one-inclusion hypergraph, its list
 orientations, the shattering dimension built from neighbor counts, and the
 list-prediction algorithms on top are all exact, budgeted enumerations meant
 for desk-scale inputs (hundreds of rows, around a dozen columns).
+
+Rows are deduplicated and grouped through row keys: one opaque scalar per
+row whose sort order is the rows' lexicographic order, so a 1-d np.unique on
+the keys orders and groups rows exactly as np.unique(axis=0) would, at a
+fraction of its cost. List prediction is batched per sample: the sample's
+distinct (column, label) pairs are resolved once, and each distinct
+restriction of the class is oriented and checked for consistency once, for
+all the queries that share it.
 """
 
 from __future__ import annotations
@@ -46,6 +54,26 @@ from .errors import (
 )
 
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _row_keys(table: np.ndarray) -> np.ndarray:
+    """One sortable scalar per row; key order is the rows' lexicographic order.
+
+    Each int64 cell becomes its big-endian bytes with the sign bit flipped, so
+    byte order is numeric order, and each row's bytes are one np.void.
+    """
+    if table.shape[1] == 0:
+        return np.zeros(table.shape[0], dtype=np.uint8)
+    cells = np.ascontiguousarray(table, dtype=np.int64).view(np.uint64) ^ _SIGN_BIT
+    return cells.astype(">u8").view(np.dtype((np.void, 8 * table.shape[1]))).ravel()
+
+
+def _unique_rows(table: np.ndarray) -> np.ndarray:
+    """The distinct rows in lexicographic order, as np.unique(table, axis=0)."""
+    return table[np.unique(_row_keys(table), return_index=True)[1]]
+
+
 @dataclass(frozen=True)
 class FiniteClass:
     """A finite hypothesis class as a (rows x columns) label matrix."""
@@ -62,7 +90,7 @@ class FiniteClass:
             raise InvalidParams("column count does not match key count")
         if len(set(self.columns)) != len(self.columns):
             raise InvalidParams("duplicate column keys")
-        if np.unique(tbl, axis=0).shape[0] != tbl.shape[0]:
+        if np.unique(_row_keys(tbl)).size != tbl.shape[0]:
             raise InvalidParams("duplicate hypothesis rows")
         if not set(np.unique(tbl)).issubset(set(self.alphabet)):
             raise InvalidParams("table labels outside the declared alphabet")
@@ -109,7 +137,8 @@ class FiniteClass:
     @classmethod
     def from_rows(cls, rows, columns, alphabet=None) -> "FiniteClass":
         tbl = np.asarray(rows, dtype=np.int64)
-        tbl = np.unique(tbl, axis=0)
+        if tbl.ndim == 2:
+            tbl = _unique_rows(tbl)
         if alphabet is None:
             alphabet = tuple(range(int(tbl.max()) + 1))
         return cls(table=tbl, columns=tuple(columns), alphabet=tuple(alphabet))
@@ -184,15 +213,16 @@ def build_oig(fc: FiniteClass) -> OneInclusionGraph:
     """Group rows by (direction, off-coordinate pattern); singletons included."""
     edges = []
     incident = [[] for _ in range(fc.size)]
+    rows = fc.table.tolist()
     for i in range(fc.n):
-        reduced = np.delete(fc.table, i, axis=1)
-        _, inverse = np.unique(reduced, axis=0, return_inverse=True)
-        groups = {}
-        for row, g in enumerate(inverse):
-            groups.setdefault(int(g), []).append(row)
-        for g in sorted(groups):
-            members = tuple(groups[g])
-            off = tuple(int(v) for v in reduced[members[0]])
+        _, inverse, counts = np.unique(_row_keys(np.delete(fc.table, i, axis=1)),
+                                       return_inverse=True, return_counts=True)
+        order = np.argsort(inverse, kind="stable").tolist()
+        ends = np.cumsum(counts).tolist()
+        for start, end in zip([0] + ends, ends):
+            members = tuple(order[start:end])
+            first = rows[members[0]]
+            off = tuple(first[:i] + first[i + 1:])
             eid = len(edges)
             edges.append(Edge(direction=i, off=off, members=members))
             for v in members:
@@ -333,13 +363,11 @@ def find_orientation(graph: OneInclusionGraph, k: int, strategy: str = "auto",
 def _shatter_core(rows: np.ndarray, k: int) -> int:
     """Size of the largest sub-family where every row has >= k neighbors per direction."""
     cur = rows
-    d = cur.shape[1]
     while cur.shape[0]:
         keep = np.ones(cur.shape[0], dtype=bool)
-        for i in range(d):
-            reduced = np.delete(cur, i, axis=1) if d > 1 else np.zeros((cur.shape[0], 1), dtype=np.int64)
-            _, inverse, counts = np.unique(reduced, axis=0, return_inverse=True,
-                                           return_counts=True)
+        for i in range(cur.shape[1]):
+            _, inverse, counts = np.unique(_row_keys(np.delete(cur, i, axis=1)),
+                                           return_inverse=True, return_counts=True)
             keep &= counts[inverse] >= k + 1
         if keep.all():
             return int(cur.shape[0])
@@ -370,7 +398,7 @@ def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
             raise BudgetExceeded(
                 f"{n_subsets} column subsets of size {d} exceed budget {budget}"
             )
-        subs = (np.unique(fc.table[:, cols], axis=0)
+        subs = (_unique_rows(fc.table[:, cols])
                 for cols in itertools.combinations(range(n), d))
         if not any(sub.shape[0] >= (k + 1) ** d and _shatter_core(sub, k) for sub in subs):
             return d - 1
@@ -403,21 +431,70 @@ def _oriented_restriction(fc: FiniteClass, col_ids: tuple, k: int, strategy: str
 def _as_pairs(sample):
     pairs = []
     for item in sample:
-        if hasattr(item, "instance"):
-            pairs.append((item.instance, int(item.label)))
-        else:
+        if isinstance(item, tuple):
             x, y = item
             pairs.append((x, int(y)))
+        else:
+            pairs.append((item.instance, int(item.label)))
     return pairs
 
 
-@dataclass
+@dataclass(frozen=True)
 class OigPrediction:
     labels: tuple
     max_out_degree: int
     edge_size: int
     strategy: str
     optimal: bool
+
+
+def one_inclusion_lists(fc: FiniteClass, sample, queries, k: int, strategy: str = "auto",
+                        budget: int = 10**6) -> list:
+    """``one_inclusion_list_predict`` at each query in turn, doing the sample's work once.
+
+    The sample's distinct (column, label) pairs are resolved once, and each
+    distinct restriction is oriented and masked for consistency once: every
+    query inside the sample's columns shares the restriction to those columns.
+    An error is raised at the query where the one-query loop would raise it.
+    """
+    pairs = _as_pairs(sample)
+    revealed = None  # the sample's sorted distinct (column, label) pairs
+    restrictions = {}  # col_ids -> (sub, graph, orientation, pos, consistent members)
+    preds = {}  # query column -> OigPrediction
+    out = []
+    for query in queries:
+        q_col = fc.column_of(query)
+        if q_col in preds:
+            out.append(preds[q_col])
+            continue
+        if revealed is None:
+            revealed = sorted({(fc.column_of(x), y) for x, y in pairs})
+            seen = {c for c, _ in revealed}
+        col_ids = tuple(sorted(seen | {q_col}))
+        if col_ids not in restrictions:
+            sub, graph, orientation = _oriented_restriction(fc, col_ids, k, strategy, budget)
+            pos = {cid: j for j, cid in enumerate(col_ids)}
+            agree = sub.table[:, [pos[c] for c, _ in revealed]] == [y for _, y in revealed]
+            restrictions[col_ids] = (sub, graph, orientation, pos,
+                                     np.flatnonzero(agree.all(axis=1)))
+        sub, graph, orientation, pos, members = restrictions[col_ids]
+        if members.size == 0:
+            raise NotRealizable("no class member is consistent with the sample")
+        q_pos = pos[q_col]
+        first = sub.table[members[0]].tolist()
+        if q_col in seen:
+            labels, edge_size = (first[q_pos],), int(members.size)
+        else:
+            eid = graph.edge_id(q_pos, tuple(first[:q_pos] + first[q_pos + 1:]))
+            if eid is None or set(graph.edges[eid].members) != set(members.tolist()):
+                raise NotRealizable("revealed sample does not select a single edge")
+            labels = tuple(sorted({int(sub.table[v, q_pos]) for v in orientation.sigma[eid]}))
+            edge_size = len(graph.edges[eid].members)
+        preds[q_col] = OigPrediction(labels=labels, max_out_degree=orientation.max_out_degree,
+                                     edge_size=edge_size, strategy=orientation.strategy,
+                                     optimal=orientation.optimal)
+        out.append(preds[q_col])
+    return out
 
 
 def one_inclusion_list_predict(fc: FiniteClass, sample, query, k: int,
@@ -427,32 +504,7 @@ def one_inclusion_list_predict(fc: FiniteClass, sample, query, k: int,
     The restriction always uses the sorted set of involved columns, so every
     leave-one-out rotation of a fixed sample reuses the same orientation.
     """
-    pairs = _as_pairs(sample)
-    q_col = fc.column_of(query)
-    col_ids = sorted({fc.column_of(x) for x, _ in pairs} | {q_col})
-    sub, graph, orientation = _oriented_restriction(fc, tuple(col_ids), k, strategy, budget)
-    pos = {cid: j for j, cid in enumerate(col_ids)}
-    consistent = np.ones(sub.size, dtype=bool)
-    for x, y in pairs:
-        consistent &= sub.table[:, pos[fc.column_of(x)]] == y
-    members = np.nonzero(consistent)[0]
-    if members.size == 0:
-        raise NotRealizable("no class member is consistent with the sample")
-    q_pos = pos[q_col]
-    if q_col in {fc.column_of(x) for x, _ in pairs}:
-        label = int(sub.table[members[0], q_pos])
-        return OigPrediction(labels=(label,), max_out_degree=orientation.max_out_degree,
-                             edge_size=int(members.size), strategy=orientation.strategy,
-                             optimal=orientation.optimal)
-    off = tuple(int(v) for v in np.delete(sub.table[members[0]], q_pos))
-    eid = graph.edge_id(q_pos, off)
-    if eid is None or set(graph.edges[eid].members) != set(int(v) for v in members):
-        raise NotRealizable("revealed sample does not select a single edge")
-    chosen = orientation.sigma[eid]
-    labels = tuple(sorted({int(sub.table[v, q_pos]) for v in chosen}))
-    return OigPrediction(labels=labels, max_out_degree=orientation.max_out_degree,
-                         edge_size=len(graph.edges[eid].members),
-                         strategy=orientation.strategy, optimal=orientation.optimal)
+    return one_inclusion_lists(fc, sample, [query], k, strategy, budget)[0]
 
 
 def oig_list_function(fc: FiniteClass, sample, k: int, strategy: str = "auto",
@@ -535,8 +587,8 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
             if frozenset(sample) in scored:
                 continue
             scored.add(frozenset(sample))
-            lists_at = oig_list_function(fc, sample, k, strategy=strategy, budget=orient_budget)
-            table = {x: lists_at(x) for x in xs}
+            preds = one_inclusion_lists(fc, sample, xs, k, strategy, orient_budget)
+            table = {x: pred.labels for x, pred in zip(xs, preds)}
             covered = [i for i in survivors if int(labels[i]) in table[dataset.instances[i]]]
             if len(covered) > best_cov:
                 best_cov, best_subset = len(covered), subset
@@ -547,11 +599,16 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
                 f"cover round {j}: best subset covered {best_cov}/{need} survivors "
                 f"(needed {math.ceil(need / (d + 1))}); subset {best_subset}"
             )
-        table = {x: table[x] if x in table else lists_at(x) for x in uniq}
+        rest = [x for x in uniq if x not in table]
+        if rest:
+            preds = one_inclusion_lists(fc, sample, rest, k, strategy, orient_budget)
+            table.update((x, pred.labels) for x, pred in zip(rest, preds))
+        table = {x: table[x] for x in uniq}
         slots.append(HypothesisSlot(slot=j - 1, indices=subset,
                                     pred_hash=stable_digest(tuple(table.values()))))
         rounds.append(CoverRound(subset=tuple(subset), coverage=len(covered),
                                  survivors_before=need, fallback=fallback))
+        lists_at = oig_list_function(fc, sample, k, strategy=strategy, budget=orient_budget)
         round_mus.append(ListFunction.composed(lists_at, declared_size=max(1, k), entries=table,
                                                name=f"cover-round[{len(subset)}]"))
         covered_set = set(covered)
@@ -622,8 +679,8 @@ def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strate
                       budget: int):
     """Each unique instance's (p-1)-list under the slot, and its min-excluded label."""
     sample = [dataset.examples[i] for i in indices]
-    lists = [one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy,
-                                        budget=budget).labels for x in dataset.unique_instances]
+    lists = [pred.labels for pred in one_inclusion_lists(fc, sample, dataset.unique_instances,
+                                                         p - 1, strategy, budget)]
     return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
 
 
@@ -914,13 +971,23 @@ def _first_difference(rebuilt: dict, given: dict) -> str:
     return (where + ["the header"])[0]
 
 
+def _check_recorded_ids(group: RecordGroup, m: int):
+    """InvalidParams unless each slot index is in [0, m) and each draw names a slot."""
+    if any(not 0 <= i < m for s in group.slots for i in s.indices):
+        raise InvalidParams(f"group {group.tag!r} has a slot index outside [0, {m})")
+    if any(not 0 <= sid < len(group.slots) for sid in group.draws or ()):
+        raise InvalidParams(f"group {group.tag!r} draws a slot id outside "
+                            f"[0, {len(group.slots)})")
+
+
 def replay_list_pac(record: CompressionRecord, dataset: Dataset,
                     finite_class: FiniteClass) -> ListFunction:
     """Rebuild the k-list by running k_list_pac_learn's code on the record's slots.
 
     Every replayed hypothesis is re-fingerprinted (NonDeterministicLearner on
     a mismatch). q, p and the number of rounds are derived, not read, and the
-    rebuilt record must equal the given one, else InvalidParams names where.
+    rebuilt record must equal the given one, else InvalidParams names where;
+    a slot index or draw id out of range is InvalidParams naming its group.
     """
     meta = record.meta
     fc = finite_class
@@ -934,6 +1001,7 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
     strategy, orient_budget = meta["strategy"], meta["orient_budget"]
 
     def cover_runner(d, q):
+        _check_recorded_ids(record.group("cover"), dataset.m)
         slots = record.group("cover").slots
         cover = _cover_loop(fc, dataset, k, d, q,
                             lambda j, _: ([s.indices for s in slots[j - 1:j]], False),
@@ -943,6 +1011,7 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
 
     def round_runner(j, sub_fc, sub_dataset, d):
         recorded = record.group(f"round:{j}")
+        _check_recorded_ids(recorded, sub_dataset.m)
         p_j = len(sub_fc.alphabet)
         indices = [s.indices for s in recorded.slots]
         preds = [_slot_predictions(sub_fc, sub_dataset, idx, p_j, strategy, orient_budget)[1]

@@ -431,25 +431,48 @@ def test_replay_list_pac_names_the_first_difference(monkeypatch):
         replay_list_pac(CompressionRecord.from_json_dict(obj), inp.dataset, inp.finite_class)
 
 
+def _count_batched(monkeypatch):
+    """Record each one_inclusion_lists call as (sample, queries); single-query
+    predictions go through it too, so this sees every (sample, query) evaluation."""
+    calls = []
+    batched = oig.one_inclusion_lists
+
+    def counting(fc, sample, queries, *args, **kwargs):
+        calls.append((tuple(sample), tuple(queries)))
+        return batched(fc, sample, queries, *args, **kwargs)
+
+    monkeypatch.setattr(oig, "one_inclusion_lists", counting)
+    return calls
+
+
 def test_replay_list_pac_predicts_each_slot_once_per_instance(monkeypatch):
     # Every class column is in the sample, so no list is extended past its
     # table: a replay predicts each recorded slot once at each distinct instance.
     inp, res = _tiny_listpac(monkeypatch, 0)
-    assert set(inp.dataset.unique_instances) == set(inp.finite_class.columns)
-    calls = 0
-    predict = oig.one_inclusion_list_predict
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return predict(*args, **kwargs)
-
-    monkeypatch.setattr(oig, "one_inclusion_list_predict", counting)
+    uniq = inp.dataset.unique_instances
+    assert set(uniq) == set(inp.finite_class.columns)
+    calls = _count_batched(monkeypatch)
     lists = replay_list_pac(res.record, inp.dataset, inp.finite_class)
     assert [lists(c) for c in inp.finite_class.columns] == \
         [res.mu(c) for c in inp.finite_class.columns]
     n_slots = sum(len(g.slots) for g in res.record.groups)
-    assert calls == n_slots * len(inp.dataset.unique_instances)
+    assert sum(len(queries) for _, queries in calls) == n_slots * len(uniq)
+    # Calls come slot by slot, in record order. A wrong-label slot is one
+    # batched call at every instance; a cover slot is one call at its
+    # survivors' instances, plus one at the rest when some instance has no
+    # survivor left.
+    pending = iter(calls)
+    for group in res.record.groups:
+        for _ in group.slots:
+            sample, seen = next(pending)
+            n_calls = 1
+            while len(seen) < len(uniq):
+                more_sample, more = next(pending)
+                assert more_sample == sample
+                seen, n_calls = seen + more, n_calls + 1
+            assert sorted(seen) == sorted(uniq)
+            assert n_calls == 1 or (group.tag == "cover" and n_calls == 2)
+    assert next(pending, None) is None
 
 
 @pytest.mark.parametrize("seed,sha256", [
@@ -465,6 +488,41 @@ def test_tiny_listpac_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha25
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
 
 
+def test_full_listpac_record_bytes_are_pinned(monkeypatch, tmp_path):
+    # The full-size listpac-oig input of the benchmark, seed 0.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_listpac_oig(0, 0, workloads.SIZES["listpac-oig"])
+    res = k_list_pac_learn(inp.finite_class, inp.dataset, inp.k, seed=0)
+    path = tmp_path / "record.json"
+    res.record.dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "1bb3e4ae5b9c35cfaba3874ef8216e31630534263033dff530a6604260edbfc1"
+
+
+def _alias_cover_index(rec):
+    # The same example, counted from the end: numpy indexing would accept it.
+    indices = rec["groups"][0]["slots"][0]["indices"]
+    indices[0] -= rec["meta"]["m"]
+
+
+def _draw_missing_slot(rec):
+    group = next(g for g in rec["groups"] if g["tag"] == "round:1")
+    assert len(group["slots"]) < 99
+    group["draws"][0] = 99
+
+
+@pytest.mark.parametrize("tamper,match", [
+    (_alias_cover_index, "group 'cover' has a slot index outside"),
+    (_draw_missing_slot, "group 'round:1' draws a slot id outside"),
+], ids=["cover-index-from-the-end", "round-draw-99"])
+def test_replay_list_pac_range_checks_recorded_ids(monkeypatch, tamper, match):
+    inp, res = _tiny_listpac(monkeypatch, 0)
+    obj = copy.deepcopy(res.record.to_json_dict())
+    tamper(obj)
+    with pytest.raises(InvalidParams, match=match):
+        replay_list_pac(CompressionRecord.from_json_dict(obj), inp.dataset, inp.finite_class)
+
+
 def _hamming_ball(labels, columns):
     """The all-zero row and every row that relabels exactly one of its columns."""
     rows = [(0,) * columns]
@@ -477,8 +535,9 @@ def _hamming_ball(labels, columns):
 def _reference_cover(fc, ds, k, d):
     """initial_cover's exhaustive search, scoring every subset at every survivor.
 
-    Returns per round the chosen subset, its coverage, the slot fingerprint
-    and how many distinct labelled subsets were scored up to the chosen one.
+    Returns per round the chosen subset, its coverage, the slot fingerprint,
+    how many distinct labelled subsets were scored up to the chosen one, and
+    how many distinct instances the round's survivors had.
     """
     q = math.ceil((d + 1) * math.log(2 * ds.m))
     survivors = list(range(ds.m))
@@ -496,7 +555,8 @@ def _reference_cover(fc, ds, k, d):
             if len(covered) * (d + 1) >= need:
                 break
         digest = stable_digest(tuple(mu(x) for x in ds.unique_instances))
-        rounds.append((tuple(subset), len(covered), digest, len(scored)))
+        n_survivor_xs = len({ds.instances[i] for i in survivors})
+        rounds.append((tuple(subset), len(covered), digest, len(scored), n_survivor_xs))
         gone = set(covered)
         survivors = [i for i in survivors if i not in gone]
     assert not survivors
@@ -514,15 +574,7 @@ def test_initial_cover_matches_reference_and_scores_each_instance_once(monkeypat
     d = kds_dimension(fc, k) if d is None else d
     ref = _reference_cover(fc, ds, k, d)
 
-    calls = 0
-    predict = oig.one_inclusion_list_predict
-
-    def counting(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return predict(*args, **kwargs)
-
-    monkeypatch.setattr(oig, "one_inclusion_list_predict", counting)
+    calls = _count_batched(monkeypatch)
     res = initial_cover(fc, ds, k, d=d)
     assert [(r.subset, r.coverage) for r in res.rounds] == [r[:2] for r in ref]
     assert [s.indices for s in res.record_group.slots] == [r[0] for r in ref]
@@ -531,4 +583,188 @@ def test_initial_cover_matches_reference_and_scores_each_instance_once(monkeypat
     n_x = len(ds.unique_instances)
     # Per round: every distinct subset scored, plus the slot fingerprint, at
     # every distinct instance; then the concatenated list's table.
-    assert calls <= sum((r[3] + 1) * n_x for r in ref) + len(ref) * n_x
+    evaluations = sum(len(queries) for _, queries in calls)
+    assert evaluations <= sum((r[3] + 1) * n_x for r in ref) + len(ref) * n_x
+    # One batched call per scored subset, at the survivors' instances, and one
+    # to complete the kept subset's table where survivors miss an instance.
+    assert len(calls) == sum(r[3] + (r[4] < n_x) for r in ref)
+
+
+# ---------------------------------------------------------------------------
+# Batched list prediction and row keys against the code they replaced.
+
+
+def _single_query_reference(fc, sample, query, k, strategy="auto", budget=10**6):
+    """The one-query prediction body, one restriction and mask per call."""
+    pairs = [(x.instance, int(x.label)) if hasattr(x, "instance") else (x[0], int(x[1]))
+             for x in sample]
+    q_col = fc.column_of(query)
+    col_ids = sorted({fc.column_of(x) for x, _ in pairs} | {q_col})
+    sub, graph, orientation = oig._oriented_restriction(fc, tuple(col_ids), k, strategy,
+                                                        budget)
+    pos = {cid: j for j, cid in enumerate(col_ids)}
+    consistent = np.ones(sub.size, dtype=bool)
+    for x, y in pairs:
+        consistent &= sub.table[:, pos[fc.column_of(x)]] == y
+    members = np.nonzero(consistent)[0]
+    if members.size == 0:
+        raise NotRealizable("no class member is consistent with the sample")
+    q_pos = pos[q_col]
+    if q_col in {fc.column_of(x) for x, _ in pairs}:
+        label = int(sub.table[members[0], q_pos])
+        return oig.OigPrediction(labels=(label,), max_out_degree=orientation.max_out_degree,
+                                 edge_size=int(members.size), strategy=orientation.strategy,
+                                 optimal=orientation.optimal)
+    off = tuple(int(v) for v in np.delete(sub.table[members[0]], q_pos))
+    eid = graph.edge_id(q_pos, off)
+    if eid is None or set(graph.edges[eid].members) != set(int(v) for v in members):
+        raise NotRealizable("revealed sample does not select a single edge")
+    chosen = orientation.sigma[eid]
+    labels = tuple(sorted({int(sub.table[v, q_pos]) for v in chosen}))
+    return oig.OigPrediction(labels=labels, max_out_degree=orientation.max_out_degree,
+                             edge_size=len(graph.edges[eid].members),
+                             strategy=orientation.strategy, optimal=orientation.optimal)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except NotRealizable as exc:
+        return str(exc)
+
+
+def _catalog_samples(fc):
+    """Realizable samples (every row on every column subset, some examples as
+    LabeledExample, some columns repeated) and unrealizable ones."""
+    samples = []
+    for row in fc.table.tolist():
+        for size in range(fc.n + 1):
+            for cols in itertools.combinations(range(fc.n), size):
+                pairs = [(fc.columns[c], row[c]) for c in cols]
+                samples.append(pairs + pairs[:1])
+                if pairs:
+                    samples.append(list(make_dataset(pairs, alphabet=fc.alphabet).examples))
+    top = max(fc.alphabet)
+    samples.append([(fc.columns[0], 0), (fc.columns[0], top)])
+    samples.append([(fc.columns[-1], top + 1)])
+    return samples
+
+
+def _assert_batched_matches_loop(fc, k, samples):
+    """Every query prefix: the batched call equals the one-query loop, same
+    predictions or the same error; so an error comes at the same query."""
+    queries = list(fc.columns) + list(fc.columns[::-1])
+    errors = set()
+    for sample in samples:
+        for i in range(len(queries) + 1):
+            want = _outcome(lambda: [_single_query_reference(fc, sample, x, k)
+                                     for x in queries[:i]])
+            got = _outcome(lambda: oig.one_inclusion_lists(fc, sample, queries[:i], k))
+            assert got == want, (sample, queries[:i])
+            if isinstance(want, str):
+                errors.add(want)
+    return errors
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_one_inclusion_lists_match_the_single_query_loop(monkeypatch, catalog, k):
+    monkeypatch.setattr(oig, "_ORIENT_CACHE", {})
+    errors = set()
+    for fc in catalog.values():
+        errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
+    assert errors == {"no class member is consistent with the sample"}
+
+    # An edge table that no revealed sample selects: every off pattern moved.
+    build = oig.build_oig
+
+    def moved_edges(fc):
+        graph = build(fc)
+        graph.edges = [oig.Edge(direction=e.direction, off=tuple(v + 1000 for v in e.off),
+                                members=e.members) for e in graph.edges]
+        return graph
+
+    monkeypatch.setattr(oig, "_ORIENT_CACHE", {})
+    monkeypatch.setattr(oig, "build_oig", moved_edges)
+    errors = set()
+    for fc in catalog.values():
+        errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
+    assert errors == {"no class member is consistent with the sample",
+                      "revealed sample does not select a single edge"}
+
+
+def _row_key_tables():
+    """Random label tables, duplicates included, a 16 x 260 table over 8 labels,
+    and a table whose labels are 0, the largest int64 and a negative one."""
+    gen = np.random.default_rng(7)
+    tables = [gen.integers(0, int(gen.integers(2, 5)),
+                           size=(int(gen.integers(1, 40)), int(gen.integers(1, 7))))
+              for _ in range(24)]
+    tables.append(gen.integers(0, 8, size=(16, 260)))
+    big = np.iinfo(np.int64).max
+    tables.append(np.array([[0, big, 0], [big, 0, -1], [0, 0, 0], [big, big, -1],
+                            [0, big, 0], [-1, big, big]], dtype=np.int64))
+    return tables
+
+
+def _alphabet(table):
+    return tuple(sorted(set(table.ravel().tolist())))
+
+
+def _oig_reference(table):
+    """The one-inclusion edges by np.unique(axis=0): (direction, off, members)."""
+    edges = []
+    for i in range(table.shape[1]):
+        reduced = np.delete(table, i, axis=1)
+        _, inverse = np.unique(reduced, axis=0, return_inverse=True)
+        groups = {}
+        for row, g in enumerate(inverse.ravel()):
+            groups.setdefault(int(g), []).append(row)
+        edges += [(i, tuple(int(v) for v in reduced[groups[g][0]]), tuple(groups[g]))
+                  for g in sorted(groups)]
+    return edges
+
+
+def _shatter_core_reference(rows, k):
+    cur = rows
+    d = cur.shape[1]
+    while cur.shape[0]:
+        keep = np.ones(cur.shape[0], dtype=bool)
+        for i in range(d):
+            reduced = (np.delete(cur, i, axis=1) if d > 1
+                       else np.zeros((cur.shape[0], 1), dtype=np.int64))
+            _, inverse, counts = np.unique(reduced, axis=0, return_inverse=True,
+                                           return_counts=True)
+            keep &= counts[inverse.ravel()] >= k + 1
+        if keep.all():
+            return int(cur.shape[0])
+        cur = cur[keep]
+    return 0
+
+
+def test_row_keys_match_unique_rows_reference():
+    gen = np.random.default_rng(8)
+    for table in _row_key_tables():
+        unique = np.unique(table, axis=0)
+        columns, alphabet = tuple(range(table.shape[1])), _alphabet(table)
+        if unique.shape[0] < table.shape[0]:
+            with pytest.raises(InvalidParams, match="duplicate hypothesis rows"):
+                FiniteClass(table=table, columns=columns, alphabet=alphabet)
+        else:
+            assert FiniteClass(table=table, columns=columns, alphabet=alphabet).size == \
+                table.shape[0]
+        fc = FiniteClass.from_rows(table, columns, alphabet=alphabet)
+        assert np.array_equal(fc.table, unique)
+        for _ in range(4):
+            cols = gen.choice(fc.n, size=int(gen.integers(1, min(fc.n, 4) + 1)),
+                              replace=False).tolist()
+            assert np.array_equal(restrict_class(fc, cols).table,
+                                  np.unique(fc.table[:, cols], axis=0))
+
+        graph = build_oig(fc)
+        assert [(e.direction, e.off, e.members) for e in graph.edges] == \
+            _oig_reference(fc.table)
+        assert graph.incident == tuple(
+            tuple(eid for eid, e in enumerate(graph.edges) if v in e.members)
+            for v in range(fc.size))
+        for k in (1, 2):
+            assert oig._shatter_core(fc.table, k) == _shatter_core_reference(fc.table, k)

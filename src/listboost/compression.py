@@ -4,8 +4,10 @@ A record stores, for every trained hypothesis, the ordered dataset indices it
 was trained on, grouped by pipeline stage. Reconstruction replays the
 deterministic learner on exactly those index sequences and must reproduce the
 original predictor bit for bit; per-slot prediction fingerprints catch any
-divergence. The record size r counts every transmitted index (repeats
-included), and the conditional bound
+divergence. Every replay reads its meta with ``read_meta``, range-checks every
+index before it replays (``check_record_ids``), and compares the record it
+rebuilds with the given one whole (``check_rebuilt``). The record size r
+counts every transmitted index (repeats included), and the conditional bound
 
     eps(r, m, delta) = (r * ln(m) + ln(1/delta)) / (m - r)
 
@@ -15,6 +17,7 @@ eps: over random m-samples, Pr[consistent and true error > eps] <= delta.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -111,20 +114,49 @@ class CompressionRecord:
 def check_fingerprints(slots, digests, where: str) -> None:
     """Compare replayed digests with the recorded slots' pred_hash, in order.
 
-    Slots with an empty pred_hash carry no fingerprint and are skipped; the
-    first disagreement raises NonDeterministicLearner naming the record
-    group ``where`` and the slot. If every replayed slot matches but the
-    record has more slots than the replay produced, InvalidParams names
-    ``where``.
+    The first disagreement raises NonDeterministicLearner naming the record
+    group ``where`` and the slot; an empty pred_hash, or a slot the replay
+    never reached, is left to ``check_rebuilt``.
     """
     for slot, got in zip(slots, digests):
         if slot.pred_hash and got != slot.pred_hash:
             raise NonDeterministicLearner(
                 f"{where} slot {slot.slot}: replayed hypothesis diverged from the record"
             )
-    if len(slots) > len(digests):
-        raise InvalidParams(f"record group {where} has {len(slots)} slots, "
-                            f"but the replay produced {len(digests)}")
+
+
+def read_meta(record: CompressionRecord, keys) -> dict:
+    """The record meta at ``keys``; InvalidParams names the first key it lacks."""
+    for key in keys:
+        if key not in record.meta:
+            raise InvalidParams(f"record meta has no key {key!r}")
+    return {key: record.meta[key] for key in keys}
+
+
+def check_record_ids(record: CompressionRecord, m: int) -> None:
+    """InvalidParams unless each slot index is in [0, m) and each draw names a slot."""
+    for g in record.groups:
+        bad = next(((s.slot, i) for s in g.slots for i in s.indices if not 0 <= i < m), None)
+        if bad:
+            raise InvalidParams(f"group {g.tag!r} has a slot index outside [0, {m}): "
+                                f"slot {bad[0]} index {bad[1]}")
+        bad = [sid for sid in g.draws or () if not 0 <= sid < len(g.slots)]
+        if bad:
+            raise InvalidParams(f"group {g.tag!r} draws a slot id outside "
+                                f"[0, {len(g.slots)}): {bad[0]}")
+
+
+def check_rebuilt(record: CompressionRecord, rebuilt: CompressionRecord) -> None:
+    """InvalidParams unless the replay rebuilt the record whole, naming where it
+    first differs: a meta key (both values), else a group, else the header."""
+    new, old = rebuilt.to_json_dict(), record.to_json_dict()
+    if new != old:
+        a, b = new["meta"], old["meta"]
+        where = [f"meta key {key!r} (replayed {a.get(key)!r}, recorded {b.get(key)!r})"
+                 for key in {**b, **a} if (key in a, a.get(key)) != (key in b, b.get(key))]
+        where += [f"group {(g or h)['tag']!r}" for g, h in
+                  itertools.zip_longest(old["groups"], new["groups"]) if g != h]
+        raise InvalidParams(f"record does not match its replay at {(where + ['the header'])[0]}")
 
 
 def compression_size(record: CompressionRecord) -> int:
@@ -153,7 +185,8 @@ def reconstruct(record: CompressionRecord, dataset: Dataset, spec=None, finite_c
     """Replay a record into a predictor; dispatches on the recorded pipeline.
 
     Raises NonDeterministicLearner when a replayed hypothesis's prediction
-    fingerprint disagrees with the recorded one.
+    fingerprint disagrees with the recorded one, and InvalidParams when the
+    record breaks the replay contract above.
     """
     if record.pipeline == "boost":
         from .recursive import replay_boost

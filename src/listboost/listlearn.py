@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compression import CompressionRecord, RecordGroup
+from .compression import CompressionRecord, RecordGroup, check_rebuilt, check_record_ids, read_meta
 from .core import (
     Dataset,
     ListFunction,
@@ -169,21 +169,21 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
                         spec: WeakLearnerSpec) -> WeakToListResult:
     """Rebuild the list function from recorded round indices; k and sigma follow from gamma."""
-    meta = record.meta
+    meta = read_meta(record, ("gamma", "T", "eta", "m0", "seed"))
+    check_record_ids(record, dataset.m)
     gamma = meta["gamma"]
     k = smallest_k(gamma)
     sigma = gamma - 1.0 / k
-    if (meta["k"], meta["sigma"]) != (k, sigma):
-        raise InvalidParams(f"record meta k={meta['k']}, sigma={meta['sigma']} do not follow "
-                            f"from gamma={gamma}: k={k}, sigma={sigma}")
     effective = WeakLearnerSpec(spec.learner, int(meta["m0"]))
     group = record.group("rounds")
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
                           meta["eta"], gamma=gamma, audit_tag="w2l:")
     slots = round_slots(result, group.slots, group.tag)
-    return _assemble_weak_to_list(dataset, result, slots, gamma, k, sigma, int(meta["T"]),
-                                  meta["eta"], effective, int(meta["seed"]))
+    res = _assemble_weak_to_list(dataset, result, slots, gamma, k, sigma, int(meta["T"]),
+                                 meta["eta"], effective, int(meta["seed"]))
+    check_rebuilt(record, res.record)
+    return res
 
 
 class ListLearner:

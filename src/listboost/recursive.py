@@ -8,7 +8,8 @@ keeps every training label; p - j + 1 does when every audit passes, so after
 p - 1 phases each training list is its true label alone. A pair losing its
 true label raises PhaseFailure; the adaptive driver then halves the edge.
 The meta stores each d_j (``denominators``): side information of at most
-ln p nats per phase, not counted in r, that replay checks against the rule.
+ln p nats per phase, not counted in r. Replay derives every d_j by the same
+rule, and the whole-record comparison rejects a record that stores another.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from typing import Optional
 
 # bench/spans.py wraps stable_digest in this module, which does not call it.
 from .core import Dataset, ListFunction, RandomStream, coverage_mask, stable_digest
-from .compression import CompressionRecord, RecordGroup, compression_size
+from .compression import (CompressionRecord, RecordGroup, check_rebuilt, check_record_ids,
+                          compression_size, read_meta)
 from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
 from .hedge import ScoreTable, replay_hedge, round_slots, run_hedge
 from .hint import build_initial_hint, default_hint_rounds, replay_initial_hint
@@ -141,8 +143,7 @@ def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: in
 
 
 def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
-                hint_result, phase_runner, audit_log: BrgAuditLog,
-                recorded: Optional[list] = None) -> BoostResult:
+                hint_result, phase_runner, audit_log: BrgAuditLog) -> BoostResult:
     m = dataset.m
     if not hint_result.covered_all:
         raise PhaseFailure(0, lost=len(hint_result.uncovered),
@@ -163,9 +164,6 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
             raise InvalidParams(f"record group phase-{j} has {len(slots)} rounds, not T={T}")
         oracle_calls += T
         denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)
-        if recorded is not None and recorded[j - 1:j] != [denom]:
-            raise InvalidParams(f"record meta denominators {recorded} do not give phase {j} "
-                                f"the rule's {denom} in [1, {p - j + 1}]")
         new_entries = {x: _kept(lst, result.score.counts(x), T, denom)
                        for x, lst in cur_lists.items()}
         declared = max(1, p - j, max((len(v) for v in new_entries.values()), default=1))
@@ -231,17 +229,13 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
 
 def replay_boost(record: CompressionRecord, dataset: Dataset,
                  spec: WeakLearnerSpec) -> BoostResult:
-    """Rebuild a boosted predictor from its record; verifies fingerprints and denominators."""
-    meta = record.meta
-    config = BoostConfig(gamma=meta["gamma"], T=meta["T"], p=meta["p"], eta=meta["eta"],
-                         m0=meta["m0"], delta=meta["delta"], seed=meta["seed"])
-    effective = WeakLearnerSpec(spec.learner, int(meta["m0"]))
+    """Rebuild a boosted predictor from its record, under ``compression``'s replay contract."""
+    config = BoostConfig(**read_meta(record, ("gamma", "T", "p", "eta", "m0", "delta", "seed")))
+    check_record_ids(record, dataset.m)
+    effective = WeakLearnerSpec(spec.learner, int(config.m0))
     audit_log = BrgAuditLog()
     hint_result = replay_initial_hint(dataset, effective, config.p,
                                       record.group("hint").slots, gamma=config.gamma)
-    denominators = meta.get("denominators")
-    if not isinstance(denominators, list):
-        raise InvalidParams("record meta has no denominators list")
 
     def phase_runner(j, mu_j):
         group = record.group(f"phase-{j}")
@@ -251,12 +245,8 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
                               audit_tag=f"phase{j}:")
         return result, round_slots(result, group.slots, group.tag)
 
-    res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log,
-                      denominators)
-    tags, ran = [g.tag for g in record.groups], [g.tag for g in res.record.groups]
-    if tags != ran or len(denominators) != len(ran) - 1:
-        raise InvalidParams(f"record groups {tags} with {len(denominators)} denominators "
-                            f"do not match the replayed groups {ran}")
+    res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
+    check_rebuilt(record, res.record)
     return res
 
 

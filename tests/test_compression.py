@@ -1,25 +1,36 @@
 """Sample-compression accounting: sizes, bounds, records, Monte-Carlo audit."""
 
+import copy
 import json
 import math
+import re
 
 import pytest
 
 from listboost import (
     CompressionRecord,
+    ErmFiniteLearner,
     HypothesisSlot,
     InvalidParams,
     MonteCarloReport,
     RTooLarge,
     RecordGroup,
     SchemeRun,
+    WeakLearnerSpec,
     bound_is_vacuous,
     compression_size,
     generalization_bound,
+    k_list_pac_learn,
     monte_carlo_compression_check,
     reconstruct,
+    recursive_boost,
+    replay_boost,
+    replay_list_pac,
+    replay_weak_to_list,
+    weak_to_list,
 )
 from listboost.core import ListFunction, make_dataset
+from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
 def _slot(slot, n):
@@ -106,6 +117,94 @@ def test_reconstruct_rejects_unknown_pipeline():
     rec = CompressionRecord(pipeline="mystery", meta={}, groups=[])
     with pytest.raises(InvalidParams):
         reconstruct(rec, ds)
+
+
+def _trained(pipeline, monkeypatch):
+    """A small run of each pipeline: its record and what reconstruct needs."""
+    if pipeline == "boost":  # the tiny boost-erm input of the benchmark, seed 0
+        workloads = bench_workloads(monkeypatch)
+        inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+        res = recursive_boost(inp.dataset, inp.spec, inp.config)
+        return res.record, dict(dataset=inp.dataset, spec=inp.spec)
+    if pipeline == "list-boost":
+        fc = build_class([(0, 1, 0, 2), (1, 1, 0, 2), (0, 0, 2, 1)], alphabet=(0, 1, 2))
+        ds = planted_dataset(fc, m=30, seed=17)
+        spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=8)
+        res = weak_to_list(ds, spec, gamma=0.6, T=40, seed=9)
+        return res.record, dict(dataset=ds, spec=spec)
+    workloads = bench_workloads(monkeypatch)  # tiny listpac-oig, seed 0
+    inp = workloads.build_listpac_oig(0, 0, workloads.TINY_SIZES["listpac-oig"])
+    res = k_list_pac_learn(inp.finite_class, inp.dataset, inp.k, seed=0)
+    return res.record, dict(dataset=inp.dataset, finite_class=inp.finite_class)
+
+
+# Each tamper edits a record's JSON dict and returns the message its replay must raise.
+def _meta_edit(key, edit):
+    def tamper(rec):
+        old = rec["meta"][key]
+        rec["meta"][key] = edit(old)
+        return f"meta key {key!r} (replayed {old!r}, recorded {rec['meta'][key]!r})"
+    return tamper
+
+
+def _slot_index(tag, index):
+    def tamper(rec):
+        m = rec["meta"]["m"]
+        group = next(g for g in rec["groups"] if g["tag"] == tag)
+        group["slots"][0]["indices"][0] = index(m)
+        return f"group {tag!r} has a slot index outside [0, {m}): slot 0 index {index(m)}"
+    return tamper
+
+
+def _meta_drop(key):
+    def tamper(rec):
+        del rec["meta"][key]
+        return f"record meta has no key {key!r}"
+    return tamper
+
+
+_TAMPERS = {
+    "m": _meta_edit("m", lambda v: v + 1),
+    "learner": _meta_edit("learner", lambda v: v + "-edited"),
+    "alphabet_size": _meta_edit("alphabet_size", lambda v: v + 1),
+    "hint_rounds": _meta_edit("hint_rounds", lambda v: v + 1),
+    "phases_run": _meta_edit("phases_run", lambda v: v + 1),
+    "compression_safe": _meta_edit("compression_safe", lambda v: not v),
+    "hint[-1]": _slot_index("hint", lambda m: -1),
+    "hint[m]": _slot_index("hint", lambda m: m),
+    "phase-1[-1]": _slot_index("phase-1", lambda m: -1),
+    "phase-1[m]": _slot_index("phase-1", lambda m: m),
+    "rounds[-1]": _slot_index("rounds", lambda m: -1),
+    "rounds[m]": _slot_index("rounds", lambda m: m),
+    "cover[-1]": _slot_index("cover", lambda m: -1),
+    "cover[m]": _slot_index("cover", lambda m: m),
+    "round:1[m]": _slot_index("round:1", lambda m: m),
+    **{f"no-{key}": _meta_drop(key) for key in ("eta", "T", "m0", "gamma", "d")},
+}
+_CASES = [("boost", name) for name in (
+    "m", "learner", "alphabet_size", "hint_rounds", "phases_run", "compression_safe",
+    "hint[-1]", "hint[m]", "phase-1[-1]", "phase-1[m]", "no-eta", "no-T", "no-m0",
+    "no-gamma")]
+_CASES += [("list-boost", name) for name in (
+    "m", "learner", "alphabet_size", "compression_safe", "rounds[-1]", "rounds[m]",
+    "no-eta", "no-T", "no-m0", "no-gamma")]
+_CASES += [("oig-listpac", name) for name in ("cover[-1]", "cover[m]", "round:1[m]", "no-d")]
+
+
+@pytest.mark.parametrize("pipeline, case", _CASES, ids=[f"{p}:{c}" for p, c in _CASES])
+def test_reconstruct_refuses_a_tampered_record(monkeypatch, pipeline, case):
+    # One replay contract for every pipeline: a missing meta key or an index
+    # outside the sample is refused before replay, and a meta value the
+    # replay does not rebuild is refused after it, each naming what is wrong.
+    record, inputs = _trained(pipeline, monkeypatch)
+    assert record.pipeline == pipeline
+    obj = copy.deepcopy(record.to_json_dict())
+    match = _TAMPERS[case](obj)
+    direct = {"boost": replay_boost, "list-boost": replay_weak_to_list,
+              "oig-listpac": replay_list_pac}[pipeline]
+    for replay in (reconstruct, direct):
+        with pytest.raises(InvalidParams, match=re.escape(match)):
+            replay(CompressionRecord.from_json_dict(obj), **inputs)
 
 
 class _ParitySampler:

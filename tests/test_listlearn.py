@@ -1,6 +1,7 @@
 """Weak <-> list learner conversions and the fixed-size list booster."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -116,14 +117,16 @@ def test_weak_to_list_replay_and_tamper(planted):
 
 @pytest.mark.parametrize("key,value", [("k", 3), ("k", 4), ("sigma", 0.2)])
 def test_weak_to_list_replay_derives_k_and_sigma_from_gamma(planted, key, value):
-    # gamma = 0.6 gives k = 2 and sigma = 0.1; an edited k or sigma is refused,
-    # not reported back as the replayed result's own.
+    # gamma = 0.6 gives k = 2 and sigma = 0.6 - 1/2; an edited k or sigma is
+    # refused, not reported back as the replayed result's own.
     fc, ds = planted
     spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=8)
     res = weak_to_list(ds, spec, gamma=0.6, T=40, seed=9)
     loaded = type(res.record).from_json_dict(res.record.to_json_dict())
     loaded.meta[key] = value
-    with pytest.raises(InvalidParams, match="gamma=0.6"):
+    derived = {"k": 2, "sigma": 0.6 - 1 / 2}[key]
+    with pytest.raises(InvalidParams, match=re.escape(
+            f"meta key {key!r} (replayed {derived!r}, recorded {value!r})")):
         replay_weak_to_list(loaded, ds, spec)
 
 

@@ -674,23 +674,6 @@ def test_one_inclusion_lists_match_the_single_query_loop(monkeypatch, catalog, k
         errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
     assert errors == {"no class member is consistent with the sample"}
 
-    # An edge table that no revealed sample selects: every off pattern moved.
-    build = oig.build_oig
-
-    def moved_edges(fc):
-        graph = build(fc)
-        graph.edges = [oig.Edge(direction=e.direction, off=tuple(v + 1000 for v in e.off),
-                                members=e.members) for e in graph.edges]
-        return graph
-
-    monkeypatch.setattr(oig, "_ORIENT_CACHE", {})
-    monkeypatch.setattr(oig, "build_oig", moved_edges)
-    errors = set()
-    for fc in catalog.values():
-        errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
-    assert errors == {"no class member is consistent with the sample",
-                      "revealed sample does not select a single edge"}
-
 
 def _row_key_tables():
     """Random label tables, duplicates included, a 16 x 260 table over 8 labels,

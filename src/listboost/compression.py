@@ -101,9 +101,10 @@ class CompressionRecord:
         return cls(pipeline=obj["pipeline"], meta=dict(obj["meta"]), groups=groups)
 
     def dump(self, path):
+        """Write the record as one line of JSON, built by ``json.dumps``'s C encoder in one
+        call (``json.dump`` streams the same text through the pure-Python encoder)."""
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json_dict(), fh)
-            fh.write("\n")
+            fh.write(json.dumps(self.to_json_dict()) + "\n")
 
     @classmethod
     def load(cls, path) -> "CompressionRecord":

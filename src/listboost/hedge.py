@@ -9,7 +9,9 @@ evaluated once per distinct training instance. The score table keeps, per
 instance, one row of vote counts indexed by label: how many rounds voted
 that label there. Row sums equal the round count exactly because every
 hypothesis casts one vote. Elsewhere each distinct hypothesis object is
-asked once and its vote counted once per round that returned it.
+asked once and its vote counted once per round that returned it. A round's
+record fingerprint is the digest of its prediction row, and a run hashes
+each distinct row once.
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
@@ -118,10 +120,12 @@ class HedgeResult:
 def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
     """A Hedge run's record slots, one per round, checked against ``recorded`` first.
 
-    Each round is hashed once, over its prediction row; training records
-    nothing to check against, so it passes no slots.
+    A round is hashed over its prediction row, each distinct row once; training
+    records nothing to check against, so it passes no slots.
     """
-    digests = [stable_digest(tuple(row)) for row in result.score.predictions.tolist()]
+    rows = {row.tobytes(): row for row in result.score.predictions}
+    by_row = {key: stable_digest(tuple(row.tolist())) for key, row in rows.items()}
+    digests = [by_row[row.tobytes()] for row in result.score.predictions]
     check_fingerprints(recorded, digests, where)
     return [HypothesisSlot(slot=t, indices=r.indices, pred_hash=digest)
             for t, (r, digest) in enumerate(zip(result.rounds, digests))]
@@ -137,9 +141,12 @@ def _drawn_indices(rng: RandomStream, tag: str, m: int, m0: int) -> Callable:
     return draw
 
 
-def _recorded_indices(recorded_indices) -> Callable:
-    """Round t replays the t-th recorded sample; a round past the last one raises."""
+def _recorded_indices(recorded_indices, m0: int) -> Callable:
+    """Round t replays the t-th recorded sample of m0 indices; a round past the last raises."""
     recorded = [np.asarray(ix, dtype=np.int64) for ix in recorded_indices]
+    for t, ix in enumerate(recorded, 1):
+        if ix.size != m0:
+            raise InvalidParams(f"round {t} has {ix.size} indices, not m0={m0}")
 
     def replay(t, dist):
         if t > len(recorded):
@@ -232,7 +239,7 @@ def replay_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec,
     """Re-run rounds on previously recorded per-round sample indices."""
     _check_eta(eta)
     recorded = list(recorded_indices)
-    return _run_rounds(dataset, mu, spec, len(recorded), eta, _recorded_indices(recorded),
+    return _run_rounds(dataset, mu, spec, len(recorded), eta, _recorded_indices(recorded, spec.m0),
                        gamma, audit_log, f"{audit_tag}t")
 
 

@@ -99,5 +99,5 @@ def build_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
 def replay_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                         recorded_slots, gamma: Optional[float] = None) -> HintResult:
     """Rebuild a hint from recorded per-round sample indices, verifying fingerprints."""
-    replay = _recorded_indices(s.indices for s in recorded_slots)
+    replay = _recorded_indices((s.indices for s in recorded_slots), spec.m0)
     return _hint_core(dataset, spec, p, replay, gamma, None, recorded_slots)

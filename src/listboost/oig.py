@@ -137,6 +137,18 @@ class FiniteClass:
         except KeyError as exc:
             raise UnknownInstance(f"instance {exc.args[0]!r} is not a class column") from None
 
+    def cached_column_ids(self, keys) -> np.ndarray:
+        """``column_ids(keys)``, kept read-only for the last tuple asked; the memo holds that
+        tuple, so its id is not reused. Other iterables and failed lookups are never kept."""
+        if not isinstance(keys, tuple):
+            return self.column_ids(keys)
+        last = self.__dict__.get("_last_ids")
+        if last is None or last[0] is not keys:
+            last = (keys, self.column_ids(keys))
+            last[1].setflags(write=False)
+            object.__setattr__(self, "_last_ids", last)
+        return last[1]
+
     @classmethod
     def from_rows(cls, rows, columns, alphabet=None) -> "FiniteClass":
         tbl = np.asarray(rows, dtype=np.int64)
@@ -168,8 +180,7 @@ def load_finite_class(path) -> FiniteClass:
 
 def save_finite_class(fc: FiniteClass, path):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(fc.to_json_dict(), fh)
-        fh.write("\n")
+        fh.write(json.dumps(fc.to_json_dict()) + "\n")
 
 
 def restrict_class(fc: FiniteClass, col_ids) -> FiniteClass:

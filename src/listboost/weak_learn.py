@@ -20,7 +20,8 @@ and are flagged as such.
 A hypothesis is a deterministic ``predict`` function of one instance. Over a
 dataset, ``predict_distinct`` labels each distinct instance once and
 ``group_ids`` gathers the result; a finite-class row (``RowHypothesis``)
-labels them all with one gather from its table row.
+labels them all with one gather from its table row, at column ids its class
+resolves once per distinct-instance tuple.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class RowHypothesis(WeakHypothesis):
         return int(self.labels[self.finite_class.column_of(x)])
 
     def predict_distinct(self, instances) -> np.ndarray:
-        return self.labels[self.finite_class.column_ids(instances)]
+        return self.labels[self.finite_class.cached_column_ids(instances)]
 
 
 class WeakLearner:

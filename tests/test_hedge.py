@@ -16,6 +16,7 @@ from listboost import (
     ErmFiniteLearner,
     InvalidParams,
     ListFunction,
+    NonDeterministicLearner,
     RandomStream,
     TooWeakLearner,
     WeakLearnerSpec,
@@ -24,9 +25,10 @@ from listboost import (
     replay_hedge,
     run_hedge,
 )
-from listboost.hedge import ScoreTable
+from listboost.core import stable_digest
+from listboost.hedge import ScoreTable, round_slots
 from listboost.weak_learn import WeakHypothesis
-from tests.conftest import build_class, planted_dataset
+from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
 def test_default_schedule_frozen():
@@ -220,3 +222,31 @@ def test_score_rows_match_a_count_over_every_stored_hypothesis(learner_type):
         reference = np.bincount([h.predict(x) for h in score.hypotheses], minlength=3)
         assert score.counts(x).dtype == np.int64
         assert score.counts(x).tolist() == reference.tolist()
+
+
+@pytest.mark.parametrize("learner_type", [ErmFiniteLearner, _RowOrClosureLearner])
+def test_round_slots_hash_each_row_as_its_own_tuple_and_check_every_slot(monkeypatch,
+                                                                         learner_type):
+    # Rounds that repeat a prediction row share one digest, whether the row
+    # came back as the same hypothesis object or as a fresh closure. The tiny
+    # boost-erm input of the benchmark: its five distinct rows start alike.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    ds = inp.dataset
+    res = run_hedge(ds, ListFunction.universal(ds.alphabet),
+                    WeakLearnerSpec(learner_type(inp.spec.learner.finite_class), m0=10),
+                    T=30, eta=0.4, rng=RandomStream(2, ("mixed",)))
+    rows = [tuple(row) for row in res.score.predictions.tolist()]
+    assert len(set(rows)) == 5 and len({row[:5] for row in rows}) == 1
+    slots = round_slots(res)
+    assert [s.pred_hash for s in slots] == [stable_digest(row) for row in rows]
+    assert [s.indices for s in slots] == res.round_indices
+    repeated = Counter(rows).most_common(1)[0][0]
+    at = [t for t, row in enumerate(rows) if row == repeated]
+    assert len(at) >= 3
+    assert round_slots(res, slots, "rounds") == slots
+    for t in at:  # only this one of the identical rows is tampered
+        tampered = list(slots)
+        tampered[t] = type(slots[t])(slot=t, indices=slots[t].indices, pred_hash="0" * 24)
+        with pytest.raises(NonDeterministicLearner, match=f"^rounds slot {t}:"):
+            round_slots(res, tampered, "rounds")

@@ -1,5 +1,6 @@
 """Weak <-> list learner conversions and the fixed-size list booster."""
 
+import hashlib
 import math
 import re
 
@@ -28,7 +29,7 @@ from listboost import (
     weak_to_list,
 )
 from listboost.core import make_dataset
-from tests.conftest import build_class, planted_dataset
+from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
 def test_smallest_k_frozen_values():
@@ -112,6 +113,18 @@ def test_weak_to_list_replay_and_tamper(planted):
 
     del slots[3:]
     with pytest.raises(InvalidParams, match="rounds"):
+        replay_weak_to_list(loaded, ds, spec)
+
+
+def test_weak_to_list_replay_rejects_an_edited_m0(planted):
+    # Every round draws m0 indices, so an m0 that is not the recorded
+    # samples' length is refused before any round is replayed.
+    fc, ds = planted
+    spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=8)
+    res = weak_to_list(ds, spec, gamma=0.6, T=40, seed=9)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    loaded.meta["m0"] = 3
+    with pytest.raises(InvalidParams, match="round 1 has 8 indices, not m0=3"):
         replay_weak_to_list(loaded, ds, spec)
 
 
@@ -215,3 +228,20 @@ def test_evaluate_list_error_counts_misses():
     ds = make_dataset([("a", 0), ("b", 1), ("c", 0), ("d", 1)], alphabet=(0, 1))
     mu = lambda x: (0,)
     assert evaluate_list_error(mu, ds) == 0.5
+
+
+@pytest.mark.parametrize("seed, sha256", [
+    (0, "ea6c8281f00c56839e944126f67f1e736ab34e11b79d8ce7c3edf41a6eab2d28"),
+    (5, "675ea9565de622f29a0124d371338036a5b1cfab5a214e5701f2f915b06fc0bc"),
+])
+def test_tiny_weak_to_list_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
+    # A change that claims "records unchanged" keeps these digests; one that
+    # changes the record on purpose recomputes them and says why. The tiny
+    # boost-erm input of the benchmark: its ERM rows repeat across the rounds.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(seed, 0, workloads.TINY_SIZES["boost-erm"])
+    res = weak_to_list(inp.dataset, inp.spec, gamma=0.6, T=30, seed=seed)
+    assert len(set(res.hedge.score.distinct)) < res.T
+    path = tmp_path / "record.json"
+    res.record.dump(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256

@@ -260,6 +260,32 @@ def test_replay_rejects_extra_hint_slots(monkeypatch):
         replay_boost(loaded, inp.dataset, inp.spec)
 
 
+@pytest.mark.parametrize("m0", [3, 11])
+def test_replay_rejects_an_edited_m0(monkeypatch, m0):
+    # Every hint and phase round draws m0 indices, so an m0 that is not the
+    # recorded samples' length is refused before any round is replayed.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    assert loaded.meta["m0"] == 10
+    loaded.meta["m0"] = m0
+    with pytest.raises(InvalidParams, match=f"round 1 has 10 indices, not m0={m0}"):
+        replay_boost(loaded, inp.dataset, inp.spec)
+
+
+def test_replay_names_the_phase_round_whose_sample_is_short(monkeypatch):
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    slots = loaded.group("phase-1").slots
+    slots[4] = type(slots[4])(slot=4, indices=slots[4].indices[:-1],
+                              pred_hash=slots[4].pred_hash)
+    with pytest.raises(InvalidParams, match="round 5 has 9 indices, not m0=10"):
+        replay_boost(loaded, inp.dataset, inp.spec)
+
+
 def test_record_meta_round_trip(planted, tmp_path):
     fc, ds = planted
     spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=ds.m)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from listboost.core import ListFunction, make_dataset, normalize
+from listboost.oig import FiniteClass
 from listboost.errors import (
     InvalidGamma,
     InvalidParams,
@@ -177,3 +178,37 @@ def test_row_hypotheses_reject_non_column_instances_and_are_shared_per_row():
         first.predict("zzz")
     with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
         learner.train(make_dataset([("zzz", 1)]).examples)
+
+
+def test_row_hypothesis_resolves_column_ids_once_per_distinct_instance_tuple(monkeypatch):
+    fc = build_class([(0, 1, 2, 1), (1, 1, 0, 2)], columns=("a", "b", "c", "d"),
+                     alphabet=(0, 1, 2))
+    resolved = []
+    column_ids = FiniteClass.column_ids
+
+    def counted(self, keys):
+        keys = tuple(keys)
+        resolved.append(keys)
+        return column_ids(self, keys)
+
+    monkeypatch.setattr(FiniteClass, "column_ids", counted)
+    row = RowHypothesis(fc, 1)
+    bad = make_dataset([("a", 0), ("zzz", 1)])
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        row.predictions_for(bad)  # before any memo
+    first = make_dataset([("c", 0), ("a", 1), ("c", 2), ("d", 1)])
+    second = make_dataset([("b", 0), ("d", 2), ("b", 1)])
+    for ds in (first, first, second, first, second, second):
+        assert row.predictions_for(ds).tolist() == [row.predict(x) for x in ds.instances]
+    # one resolution per run of calls on the same tuple
+    assert resolved == [bad.unique_instances] + [first.unique_instances,
+                                                 second.unique_instances] * 2
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        row.predictions_for(bad)  # after a memo hit on ``second``
+    resolved.clear()
+    assert row.predictions_for(second).tolist() == [1, 2, 1]
+    assert resolved == []  # the failure kept nothing: ``second`` is still the memo
+    keys = ["a", "b"]  # a list can change under the same id, so it is never kept
+    assert row.predict_distinct(keys).tolist() == [1, 1]
+    keys[0] = "c"
+    assert row.predict_distinct(keys).tolist() == [0, 1]

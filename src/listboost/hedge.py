@@ -131,22 +131,35 @@ def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
             for t, (r, digest) in enumerate(zip(result.rounds, digests))]
 
 
-def _drawn_indices(rng: RandomStream, tag: str, m: int, m0: int) -> Callable:
-    """Round t draws m0 indices i.i.d. from its distribution, seeded by (tag, t)."""
+def _drawn_indices(rng: RandomStream, tag: str, m0: int) -> Callable:
+    """Each round draws m0 indices i.i.d. from its distribution by inverse CDF.
+
+    One generator, fresh from ``rng.child(tag)``, serves every round of the run,
+    so two runs on the same stream draw the same samples. The draw is the one
+    ``Generator.choice(m, size=m0, p=weights)`` makes from the same state,
+    without its checks on p, which ``ExampleDistribution`` already made more
+    strictly; a zero-weight example is never drawn.
+    """
+    gen = rng.child(tag).generator()
 
     def draw(t, dist):
-        gen = rng.child(tag, t).generator()
-        return gen.choice(m, size=m0, replace=True, p=dist.weights)
+        cdf = np.cumsum(dist.weights)
+        cdf /= cdf[-1]
+        return cdf.searchsorted(gen.random(m0), side="right")
 
     return draw
 
 
-def _recorded_indices(recorded_indices, m0: int) -> Callable:
-    """Round t replays the t-th recorded sample of m0 indices; a round past the last raises."""
+def _recorded_indices(recorded_indices, m0: int, where: str) -> Callable:
+    """Round t replays the t-th recorded sample of m0 indices; a round past the last raises.
+
+    A sample that is not m0 long raises before any round, naming the record
+    group ``where`` and the round.
+    """
     recorded = [np.asarray(ix, dtype=np.int64) for ix in recorded_indices]
     for t, ix in enumerate(recorded, 1):
         if ix.size != m0:
-            raise InvalidParams(f"round {t} has {ix.size} indices, not m0={m0}")
+            raise InvalidParams(f"{where} round {t} has {ix.size} indices, not m0={m0}".lstrip())
 
     def replay(t, dist):
         if t > len(recorded):
@@ -229,17 +242,22 @@ def run_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
               audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "") -> HedgeResult:
     """Run T multiplicative-weights rounds, sampling each round's training set."""
     _check_eta(eta)
-    draw = _drawn_indices(rng, "round", dataset.m, spec.m0)
+    draw = _drawn_indices(rng, "round", spec.m0)
     return _run_rounds(dataset, mu, spec, T, eta, draw, gamma, audit_log, f"{audit_tag}t")
 
 
 def replay_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec,
                  recorded_indices, eta: float, gamma: Optional[float] = None,
-                 audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "") -> HedgeResult:
-    """Re-run rounds on previously recorded per-round sample indices."""
+                 audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "",
+                 where: str = "") -> HedgeResult:
+    """Re-run rounds on previously recorded per-round sample indices.
+
+    ``where`` names the record group the samples came from in a length error.
+    """
     _check_eta(eta)
     recorded = list(recorded_indices)
-    return _run_rounds(dataset, mu, spec, len(recorded), eta, _recorded_indices(recorded, spec.m0),
+    replay = _recorded_indices(recorded, spec.m0, where)
+    return _run_rounds(dataset, mu, spec, len(recorded), eta, replay,
                        gamma, audit_log, f"{audit_tag}t")
 
 

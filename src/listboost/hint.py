@@ -92,12 +92,12 @@ def build_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                        rng: RandomStream, gamma: Optional[float] = None,
                        audit_log: Optional[BrgAuditLog] = None) -> HintResult:
     """Run up to p residual-peeling rounds and assemble the hint list function."""
-    draw = _drawn_indices(rng, "hint-round", dataset.m, spec.m0)
+    draw = _drawn_indices(rng, "hint-round", spec.m0)
     return _hint_core(dataset, spec, p, draw, gamma, audit_log)
 
 
 def replay_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
                         recorded_slots, gamma: Optional[float] = None) -> HintResult:
     """Rebuild a hint from recorded per-round sample indices, verifying fingerprints."""
-    replay = _recorded_indices((s.indices for s in recorded_slots), spec.m0)
+    replay = _recorded_indices((s.indices for s in recorded_slots), spec.m0, "hint")
     return _hint_core(dataset, spec, p, replay, gamma, None, recorded_slots)

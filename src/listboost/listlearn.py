@@ -178,7 +178,7 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     group = record.group("rounds")
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
-                          meta["eta"], gamma=gamma, audit_tag="w2l:")
+                          meta["eta"], gamma=gamma, audit_tag="w2l:", where=group.tag)
     slots = round_slots(result, group.slots, group.tag)
     res = _assemble_weak_to_list(dataset, result, slots, gamma, k, sigma, int(meta["T"]),
                                  meta["eta"], effective, int(meta["seed"]))

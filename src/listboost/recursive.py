@@ -242,7 +242,7 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
         result = replay_hedge(dataset, mu_j, effective,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
-                              audit_tag=f"phase{j}:")
+                              audit_tag=f"phase{j}:", where=group.tag)
         return result, round_slots(result, group.slots, group.tag)
 
     res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from listboost import (
     BoostConfig,
@@ -25,8 +27,8 @@ from listboost import (
     replay_hedge,
     run_hedge,
 )
-from listboost.core import stable_digest
-from listboost.hedge import ScoreTable, round_slots
+from listboost.core import normalize, stable_digest
+from listboost.hedge import ScoreTable, _drawn_indices, round_slots
 from listboost.weak_learn import WeakHypothesis
 from tests.conftest import bench_workloads, build_class, planted_dataset
 
@@ -141,6 +143,63 @@ def test_replay_reproduces_scores():
     assert np.array_equal(replayed.score.predictions, res.score.predictions)
     assert np.array_equal(replayed.correct_counts, res.correct_counts)
     assert [r.indices for r in replayed.rounds] == [r.indices for r in res.rounds]
+
+
+_weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9)),
+                    min_size=1, max_size=40).filter(any)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_weights, min_size=1, max_size=4), st.integers(0, 2**32 - 1),
+       st.integers(1, 50))
+def test_draw_is_numpy_choice_from_the_same_generator_state(vectors, seed, m0):
+    # One generator serves every round, so the reference advances with it.
+    draw = _drawn_indices(RandomStream(seed, ("d",)), "round", m0)
+    reference = RandomStream(seed, ("d", "round")).generator()
+    for t, weights in enumerate(vectors, 1):
+        dist = normalize(weights)
+        got = draw(t, dist)
+        expected = reference.choice(dist.size, size=m0, replace=True, p=dist.weights)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert np.all(dist.weights[got] > 0)
+
+
+class _FixedUniforms:
+    """A stream whose one generator returns the given uniforms in [0, 1)."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.array(uniforms, dtype=np.float64)
+
+    def child(self, *tags):
+        return self
+
+    def generator(self):
+        return self
+
+    def random(self, size):
+        assert size == self.uniforms.size
+        return self.uniforms
+
+
+def test_draw_never_returns_a_zero_weight_index():
+    # Uniforms on the CDF's steps, and at its ends, land past the zero-weight
+    # examples before, between and after the weighted ones.
+    dist = normalize([0.0, 1.0, 0.0, 2.0, 0.0, 0.0, 1.0, 0.0])
+    uniforms = [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), 0.1, 0.9]
+    draw = _drawn_indices(_FixedUniforms(uniforms), "round", len(uniforms))
+    assert draw(1, dist).tolist() == [1, 3, 3, 6, 6, 1, 6]
+
+
+def test_two_runs_on_one_stream_draw_the_same_samples():
+    fc = build_class([(0, 1, 0), (1, 1, 0), (0, 0, 1)], alphabet=(0, 1))
+    ds = planted_dataset(fc, m=15, seed=4)
+    mu = ListFunction.universal(ds.alphabet)
+    spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=6)
+    rng = RandomStream(8, ("h",))
+    first = run_hedge(ds, mu, spec, T=25, eta=0.4, rng=rng)
+    second = run_hedge(ds, mu, spec, T=25, eta=0.4, rng=rng)
+    assert len(set(first.round_indices)) > 1
+    assert second.round_indices == first.round_indices
 
 
 def test_round_trace_fields(counterexample_dataset):

@@ -3,6 +3,7 @@
 import hashlib
 import re
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from listboost import (
     recursive_boost,
     replay_boost,
 )
+from listboost.compression import RECORD_FORMAT, CompressionRecord, reconstruct
 from listboost.recursive import _phase_denominator
 from listboost.weak_learn import RowHypothesis
 from tests.conftest import bench_workloads, build_class, planted_dataset
@@ -278,12 +280,14 @@ def test_replay_names_the_phase_round_whose_sample_is_short(monkeypatch):
     workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
-    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
-    slots = loaded.group("phase-1").slots
-    slots[4] = type(slots[4])(slot=4, indices=slots[4].indices[:-1],
-                              pred_hash=slots[4].pred_hash)
-    with pytest.raises(InvalidParams, match="round 5 has 9 indices, not m0=10"):
-        replay_boost(loaded, inp.dataset, inp.spec)
+    for tag, at in (("phase-1", 4), ("hint", 1)):
+        loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+        slots = loaded.group(tag).slots
+        slots[at] = type(slots[at])(slot=at, indices=slots[at].indices[:-1],
+                                    pred_hash=slots[at].pred_hash)
+        with pytest.raises(InvalidParams,
+                           match=f"^{tag} round {at + 1} has 9 indices, not m0=10$"):
+            replay_boost(loaded, inp.dataset, inp.spec)
 
 
 def test_record_meta_round_trip(planted, tmp_path):
@@ -330,8 +334,8 @@ def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeyp
 
 
 @pytest.mark.parametrize("seed, sha256", [
-    (0, "1701f73756ccaf73ec08a796a25cd67d5625a31eb8dd18ced78fa85d3d41cd24"),
-    (5, "6f7005a816b484a1189a4771fe391fb5432a4219d8e819db6a619b9b50084145"),
+    (0, "df0780c24d08093f1d41a0aab042215cfd9242b024423bda98148ef669479427"),
+    (5, "528373682e15ec1ff57409a9dbb5a0634874f7b5ea6eb95a0780612781872f2a"),
 ])
 def test_tiny_erm_boost_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
     # A change that claims "records unchanged" keeps these digests; one that
@@ -341,3 +345,41 @@ def test_tiny_erm_boost_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha
     path = tmp_path / "record.json"
     recursive_boost(inp.dataset, inp.spec, inp.config).record.dump(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
+
+
+def test_a_record_trained_when_each_round_seeded_its_own_generator_replays_bit_exactly(
+        monkeypatch, tmp_path):
+    # The tiny boost-erm seed-0 record, dumped when every Hedge round drew from
+    # a freshly seeded generator by Generator.choice. Replay reads the recorded
+    # indices and never draws, so how they were drawn is not part of the format.
+    fixture = Path(__file__).parent / "data" / "boost_erm_tiny_seed0_record1.json"
+    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == \
+        "1701f73756ccaf73ec08a796a25cd67d5625a31eb8dd18ced78fa85d3d41cd24"
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    record = CompressionRecord.load(fixture)
+    assert RECORD_FORMAT == "listboost-record/1"
+    rebuilt = reconstruct(record, inp.dataset, spec=inp.spec)
+    assert rebuilt.audit_log.entries and rebuilt.audit_log.all_passed
+    assert rebuilt.consistent_on_train
+    path = tmp_path / "record.json"
+    rebuilt.record.dump(path)
+    assert path.read_bytes() == fixture.read_bytes()
+
+
+def test_boost_seeds_one_generator_per_hedge_run(monkeypatch):
+    # The hint and each phase take one generator for all of their rounds.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    seeded = []
+    real = np.random.SeedSequence
+
+    def counting(*args, **kwargs):
+        seeded.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    phases = res.record.meta["phases_run"]
+    assert len(res.record.group("hint").slots) + phases * inp.config.T > 100
+    assert len(seeded) == 1 + phases

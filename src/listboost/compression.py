@@ -4,9 +4,12 @@ A record stores, for every trained hypothesis, the ordered dataset indices it
 was trained on, grouped by pipeline stage. Reconstruction replays the
 deterministic learner on exactly those index sequences and must reproduce the
 original predictor bit for bit; per-slot prediction fingerprints catch any
-divergence. Every replay reads its meta with ``read_meta``, range-checks every
-index before it replays (``check_record_ids``), and compares the record it
-rebuilds with the given one whole (``check_rebuilt``). The record size r
+divergence. ``slot_group`` is the one writer of a group: every pipeline, in
+training and in replay, hands it the slots' indices and prediction rows, and
+it hashes them, checks them against the recorded slots and groups them. Every
+replay reads its meta with ``read_meta``, range-checks every index before it
+replays (``check_record_ids``), and compares the record it rebuilds with the
+given one whole (``check_rebuilt``). The record size r
 counts every transmitted index (repeats included), and the conditional bound
 
     eps(r, m, delta) = (r * ln(m) + ln(1/delta)) / (m - r)
@@ -23,10 +26,26 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from . import core
 from .core import Dataset, RandomStream
 from .errors import InvalidParams, NonDeterministicLearner, RTooLarge
 
 RECORD_FORMAT = "listboost-record/1"
+
+
+def _check_ints(g: dict) -> None:
+    """InvalidParams naming group ``g`` and its first slot id, index or draw that is
+    not a JSON integer (a bool is not one)."""
+    slots, draws = g["slots"], g.get("draws") or ()
+    if set(map(type, itertools.chain([s["slot"] for s in slots],
+                                     *[s["indices"] for s in slots], draws))) <= {int}:
+        return
+    values = itertools.chain(
+        (("has a non-integer slot id", s["slot"]) for s in slots),
+        ((f"slot {s['slot']} has a non-integer index", i) for s in slots for i in s["indices"]),
+        (("draws a non-integer slot id", d) for d in draws))
+    what, bad = next((what, v) for what, v in values if type(v) is not int)
+    raise InvalidParams(f"group {g['tag']!r} {what}: {bad!r}")
 
 
 @dataclass(frozen=True)
@@ -38,7 +57,7 @@ class HypothesisSlot:
     pred_hash: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
 
 
 @dataclass
@@ -91,11 +110,9 @@ class CompressionRecord:
             raise InvalidParams(f"unsupported record format: {obj.get('format')!r}")
         groups = []
         for g in obj["groups"]:
-            slots = [
-                HypothesisSlot(slot=int(s["slot"]), indices=tuple(s["indices"]),
-                               pred_hash=s.get("pred_hash", ""))
-                for s in g["slots"]
-            ]
+            _check_ints(g)
+            slots = [HypothesisSlot(slot=s["slot"], indices=s["indices"],
+                                    pred_hash=s.get("pred_hash", "")) for s in g["slots"]]
             draws = list(g["draws"]) if g.get("draws") is not None else None
             groups.append(RecordGroup(tag=g["tag"], slots=slots, draws=draws))
         return cls(pipeline=obj["pipeline"], meta=dict(obj["meta"]), groups=groups)
@@ -112,18 +129,31 @@ class CompressionRecord:
             return cls.from_json_dict(json.load(fh))
 
 
-def check_fingerprints(slots, digests, where: str) -> None:
-    """Compare replayed digests with the recorded slots' pred_hash, in order.
+def slot_group(tag: str, indices, rows, recorded=(), draws=None) -> RecordGroup:
+    """The record group ``tag``: slot n holds ``indices[n]`` and the digest of ``rows[n]``.
 
-    The first disagreement raises NonDeterministicLearner naming the record
-    group ``where`` and the slot; an empty pred_hash, or a slot the replay
-    never reached, is left to ``check_rebuilt``.
+    A row is a slot's predictions: an int array, hashed as the tuple of its
+    entries, or a tuple, hashed as it is. Each distinct row is hashed once.
+    Replay passes the ``recorded`` slots, and the first whose pred_hash differs
+    raises NonDeterministicLearner naming ``tag`` and the slot; an empty
+    pred_hash, or a slot the replay never reached, is left to ``check_rebuilt``.
     """
-    for slot, got in zip(slots, digests):
-        if slot.pred_hash and got != slot.pred_hash:
-            raise NonDeterministicLearner(
-                f"{where} slot {slot.slot}: replayed hypothesis diverged from the record"
-            )
+    digests = {}  # an array row's bytes, or a tuple row itself -> its digest
+    slots = []
+    for n, (ix, row) in enumerate(zip(indices, rows)):
+        is_tuple = isinstance(row, tuple)
+        key = row if is_tuple else row.tobytes()
+        digest = digests.get(key)
+        if digest is None:
+            # looked up on core at call time, where a tracer may wrap it
+            digest = digests[key] = core.stable_digest(row if is_tuple else tuple(row.tolist()))
+        slots.append(HypothesisSlot(slot=n, indices=ix, pred_hash=digest))
+    for slot, got in zip(recorded, slots):
+        if slot.pred_hash and got.pred_hash != slot.pred_hash:
+            raise NonDeterministicLearner(f"{tag} slot {slot.slot}: replayed hypothesis "
+                                          "diverged from the record")
+    return RecordGroup(tag=tag, slots=slots,
+                       draws=list(map(int, draws)) if draws is not None else None)
 
 
 def read_meta(record: CompressionRecord, keys) -> dict:

@@ -353,9 +353,7 @@ def _run_listpac_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
         gen_res.finite_class, ds, int(cfg.get("k", 1)), seed=seed,
         d=cfg.get("d"), strategy=cfg.get("strategy", "auto"),
         orient_budget=int(cfg.get("orient_budget", default_budget("orient"))),
-        search_budget=int(cfg.get("search_budget", default_budget("search"))),
-        game_iters=int(cfg.get("game_iters", 16)),
-        response_tries=int(cfg.get("response_tries", 8)))
+        search_budget=int(cfg.get("search_budget", default_budget("search"))))
     r = res.compression_size
     row = {
         "consistent": res.consistent_on_train,

@@ -9,9 +9,10 @@ evaluated once per distinct training instance. The score table keeps, per
 instance, one row of vote counts indexed by label: how many rounds voted
 that label there. Row sums equal the round count exactly because every
 hypothesis casts one vote. Elsewhere each distinct hypothesis object is
-asked once and its vote counted once per round that returned it. A round's
-record fingerprint is the digest of its prediction row, and a run hashes
-each distinct row once.
+asked once and its vote counted once per round that returned it. A run's
+record group is written by ``compression.slot_group``, one slot per round
+from its sample and prediction row (``round_indices`` and
+``score.predictions``).
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
@@ -26,8 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .compression import HypothesisSlot, check_fingerprints
-from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize, stable_digest
+from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize
 from .errors import EmptyCandidates, InvalidParams, NonDeterministicLearner
 from .weak_learn import (
     BrgAudit,
@@ -115,20 +115,6 @@ class HedgeResult:
         lhs = float(self.alphas.sum())
         rhs = self.regret_bound_rhs()
         return bool(np.all(lhs <= rhs + rel_tol * np.maximum(1.0, np.abs(rhs))))
-
-
-def round_slots(result: HedgeResult, recorded=(), where: str = "") -> list:
-    """A Hedge run's record slots, one per round, checked against ``recorded`` first.
-
-    A round is hashed over its prediction row, each distinct row once; training
-    records nothing to check against, so it passes no slots.
-    """
-    rows = {row.tobytes(): row for row in result.score.predictions}
-    by_row = {key: stable_digest(tuple(row.tolist())) for key, row in rows.items()}
-    digests = [by_row[row.tobytes()] for row in result.score.predictions]
-    check_fingerprints(recorded, digests, where)
-    return [HypothesisSlot(slot=t, indices=r.indices, pred_hash=digest)
-            for t, (r, digest) in enumerate(zip(result.rounds, digests))]
 
 
 def _drawn_indices(rng: RandomStream, tag: str, m0: int) -> Callable:

@@ -26,9 +26,9 @@ import numpy as np
 # bench/spans.py wraps normalize, stable_digest and audit_from_arrays in this
 # module, which does not call them.
 from .core import Dataset, ListFunction, RandomStream, normalize, ordered_dedup, stable_digest
-from .compression import RecordGroup
+from .compression import RecordGroup, slot_group
 from .errors import InvalidGamma
-from .hedge import _drawn_indices, _recorded_indices, _run_rounds, round_slots
+from .hedge import _drawn_indices, _recorded_indices, _run_rounds
 from .weak_learn import BrgAuditLog, WeakLearnerSpec, audit_from_arrays
 
 
@@ -43,16 +43,12 @@ def default_hint_rounds(m: int, gamma: float) -> int:
 class HintResult:
     mu: ListFunction
     hypotheses: list
-    slots: list
+    record_group: RecordGroup
     residual_sizes: list
     rounds_run: int
     covered_all: bool
     uncovered: tuple
     audits: list
-
-    @property
-    def record_group(self) -> RecordGroup:
-        return RecordGroup(tag="hint", slots=self.slots)
 
 
 def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
@@ -61,7 +57,7 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     universal = ListFunction.universal(dataset.alphabet)
     result = _run_rounds(dataset, universal, spec, p, math.inf, index_source, gamma,
                          audit_log, "hint:j")
-    slots = round_slots(result, recorded, "hint")
+    group = slot_group("hint", result.round_indices, result.score.predictions, recorded)
     distinct = result.score.distinct
     predictions = result.score.predictions
     # residual size after each round; the first round starts from all m examples
@@ -79,7 +75,7 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     return HintResult(
         mu=mu1,
         hypotheses=result.score.hypotheses,
-        slots=slots,
+        record_group=group,
         residual_sizes=[dataset.m] + left[:-1].tolist(),
         rounds_run=len(result.rounds),
         covered_all=(len(uncovered) == 0),

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .compression import CompressionRecord, RecordGroup, check_rebuilt, check_record_ids, read_meta
+from .compression import CompressionRecord, check_rebuilt, check_record_ids, read_meta, slot_group
 from .core import (
     Dataset,
     ListFunction,
@@ -36,7 +36,7 @@ from .errors import (
     InvalidParams,
     PhaseFailure,
 )
-from .hedge import HedgeResult, replay_hedge, round_slots, run_hedge
+from .hedge import HedgeResult, replay_hedge, run_hedge
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
 
 
@@ -109,11 +109,13 @@ class WeakToListResult:
         return self.mu(x)
 
 
-def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, slots: list,
+def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, recorded,
                            gamma: float, k: int, sigma: float, T: int, eta: float,
                            spec: WeakLearnerSpec, seed: int) -> WeakToListResult:
-    if len(slots) != T:
-        raise InvalidParams(f"record group rounds has {len(slots)} rounds, not T={T}")
+    """The list and record of a run; replay passes the ``recorded`` slots to check."""
+    group = slot_group("rounds", result.round_indices, result.score.predictions, recorded)
+    if len(group.slots) != T:
+        raise InvalidParams(f"record group rounds has {len(group.slots)} rounds, not T={T}")
     score = result.score
     entries = {x: _vote_entry(score.counts(x), k, T) for x in dataset.unique_instances}
 
@@ -141,8 +143,7 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, slots: list,
         "learner": spec.learner.name,
         "compression_safe": bool(spec.learner.compression_safe),
     }
-    record = CompressionRecord(pipeline="list-boost", meta=meta,
-                               groups=[RecordGroup(tag="rounds", slots=slots)])
+    record = CompressionRecord(pipeline="list-boost", meta=meta, groups=[group])
     return WeakToListResult(mu=mu, k=k, sigma=sigma, T=T, eta=eta, hedge=result,
                             record=record, consistent_on_train=True)
 
@@ -162,8 +163,7 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
     rs = RandomStream(seed, ("weak-to-list",))
     result = run_hedge(dataset, mu0, spec, T, eta, rs.child("rounds"), gamma=gamma,
                        audit_log=audit_log, audit_tag="w2l:")
-    return _assemble_weak_to_list(dataset, result, round_slots(result), gamma, k, sigma,
-                                  T, eta, spec, seed)
+    return _assemble_weak_to_list(dataset, result, (), gamma, k, sigma, T, eta, spec, seed)
 
 
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
@@ -179,8 +179,7 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
                           meta["eta"], gamma=gamma, audit_tag="w2l:", where=group.tag)
-    slots = round_slots(result, group.slots, group.tag)
-    res = _assemble_weak_to_list(dataset, result, slots, gamma, k, sigma, int(meta["T"]),
+    res = _assemble_weak_to_list(dataset, result, group.slots, gamma, k, sigma, int(meta["T"]),
                                  meta["eta"], effective, int(meta["seed"]))
     check_rebuilt(record, res.record)
     return res

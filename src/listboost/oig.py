@@ -28,13 +28,12 @@ import numpy as np
 
 from .compression import (
     CompressionRecord,
-    HypothesisSlot,
     RecordGroup,
-    check_fingerprints,
     check_rebuilt,
     check_record_ids,
     compression_size,
     read_meta,
+    slot_group,
 )
 from .core import (
     Dataset,
@@ -44,7 +43,6 @@ from .core import (
     coverage_mask,
     make_dataset,
     ordered_dedup,
-    stable_digest,
 )
 from .errors import (
     BudgetExceeded,
@@ -570,19 +568,20 @@ def _cover_size(d: int, m: int) -> int:
 
 
 def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candidates,
-                strategy: str, orient_budget: int) -> CoverResult:
+                strategy: str, orient_budget: int, recorded=()) -> CoverResult:
     """Cover the sample in at most q rounds from ``candidates(j, survivors)``.
 
     That gives round j's subsets and whether they are a fallback search. A
     round keeps the first subset whose list covers at least 1/(d+1) of the
     survivors (exact integers), scoring each distinct labelled set once on a
     table at the surviving instances; the kept table is completed on every
-    distinct instance for the slot digest and the concatenated list.
+    distinct instance for the slot digest and the concatenated list. Replay
+    passes the ``recorded`` slots to check the digests against.
     """
     uniq = dataset.unique_instances
     labels = dataset.labels
     survivors = list(range(dataset.m))
-    slots, rounds, round_mus = [], [], []
+    rows, rounds, round_mus = [], [], []
     for j in range(1, q + 1):
         if not survivors:
             break
@@ -616,8 +615,7 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
             preds = one_inclusion_lists(fc, sample, rest, k, strategy, orient_budget)
             table.update((x, pred.labels) for x, pred in zip(rest, preds))
         table = {x: table[x] for x in uniq}
-        slots.append(HypothesisSlot(slot=j - 1, indices=subset,
-                                    pred_hash=stable_digest(tuple(table.values()))))
+        rows.append(tuple(table.values()))
         rounds.append(CoverRound(subset=tuple(subset), coverage=len(covered),
                                  survivors_before=need, fallback=fallback))
         lists_at = oig_list_function(fc, sample, k, strategy=strategy, budget=orient_budget)
@@ -629,10 +627,10 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
         raise SearchExhausted(
             f"{len(survivors)} example(s) uncovered after {q} rounds"
         )
+    group = slot_group("cover", [r.subset for r in rounds], rows, recorded)
     mu = _tabled_mu(lambda x: ordered_dedup(y for mu_s in round_mus for y in mu_s(x)),
                     dataset, k * q, f"cover[p={k * q}]")
-    return CoverResult(mu=mu, record_group=RecordGroup(tag="cover", slots=slots),
-                       q=q, d=d, rounds=rounds)
+    return CoverResult(mu=mu, record_group=group, q=q, d=d, rounds=rounds)
 
 
 def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = None,
@@ -668,6 +666,11 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
 # ---------------------------------------------------------------------------
 # The wrong-label game: a consistent (p-1)-list from averaged wrong-label votes.
 
+# The game's rounds, and the subsets each round draws at most; list-PAC records
+# keep both in their meta.
+GAME_ITERS = 16
+RESPONSE_TRIES = 8
+
 
 @dataclass
 class WrongLabelResult:
@@ -694,14 +697,6 @@ def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strate
     lists = [pred.labels for pred in one_inclusion_lists(fc, sample, dataset.unique_instances,
                                                          p - 1, strategy, budget)]
     return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
-
-
-def _wrong_label_group(tag: str, slot_indices, slot_preds, draws) -> RecordGroup:
-    """Each slot's indices and prediction digest, and the drawn slot ids."""
-    slots = [HypothesisSlot(slot=sid, indices=indices,
-                            pred_hash=stable_digest(tuple(preds.tolist())))
-             for sid, (indices, preds) in enumerate(zip(slot_indices, slot_preds))]
-    return RecordGroup(tag=tag, slots=slots, draws=list(map(int, draws)))
 
 
 def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_indices, slot_preds, draws,
@@ -747,19 +742,18 @@ def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_indices, slot_pred
 
 
 def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
-                        rng: Optional[RandomStream] = None, game_iters: int = 16,
-                        response_tries: int = 8, strategy: str = "auto",
+                        rng: Optional[RandomStream] = None, strategy: str = "auto",
                         orient_budget: int = 10**6,
                         tag: str = "wrong-label") -> WrongLabelResult:
     """Produce a (p-1)-list over the class's own alphabet that keeps every true label.
 
-    A two-player weight game stands in for the minimax distribution over
-    training subsets: the adversary reweights examples their current cover
-    misses, the learner answers with a fresh subset drawn from that weight
-    vector whose one-inclusion list covers at least 1 - 1/(4p) of the mass
-    (best-of-tries fallback recorded). The averaged wrong-label votes over
-    ell draws from the answer bag then pin down, per instance, one label that
-    cannot be the true one.
+    A two-player weight game of GAME_ITERS rounds stands in for the minimax
+    distribution over training subsets: the adversary reweights examples their
+    current cover misses, the learner answers with a fresh subset drawn from
+    that weight vector whose one-inclusion list covers at least 1 - 1/(4p) of
+    the mass (best of RESPONSE_TRIES draws, recorded). The averaged wrong-label
+    votes over ell draws from the answer bag then pin down, per instance, one
+    label that cannot be the true one.
     """
     p = len(fc.alphabet)
     if p < 2:
@@ -769,7 +763,7 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     rng = rng if rng is not None else RandomStream(0, ("wrong-label",))
     n_u = 4 * p * d
     target = 1.0 - 1.0 / (4.0 * p)
-    eta = math.sqrt(math.log(max(m, 2)) / (2.0 * max(game_iters, 1)))
+    eta = math.sqrt(math.log(max(m, 2)) / (2.0 * GAME_ITERS))
     log_w = np.zeros(m, dtype=np.float64)
 
     slot_by_key = {}  # per slot: its example indices -> its slot id
@@ -786,11 +780,11 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
             slot_covers.append(coverage_mask(dataset, dict(zip(uniq, lists)).get))
         return slot_by_key[key]
 
-    for t in range(1, game_iters + 1):
+    for t in range(1, GAME_ITERS + 1):
         w = np.exp(log_w - log_w.max())
         dist = w / w.sum()
         best_sid, best_mass = None, -1.0
-        for attempt in range(1, response_tries + 1):
+        for attempt in range(1, RESPONSE_TRIES + 1):
             gen = rng.child("game", t, attempt).generator()
             draw = gen.choice(m, size=n_u, replace=True, p=dist) if n_u else np.empty(0, dtype=np.int64)
             sid = preds_for(draw)
@@ -808,7 +802,7 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     slot_indices = list(slot_by_key)
     max_true_vote, mu = _wrong_label_vote(fc, dataset, slot_indices, slot_preds, draws, p,
                                           strategy, orient_budget)
-    group = _wrong_label_group(tag, slot_indices, slot_preds, draws)
+    group = slot_group(tag, slot_indices, slot_preds, draws=draws)
     return WrongLabelResult(mu=mu, record_group=group, p=p, n_u=n_u, ell=ell,
                             max_true_vote=max_true_vote, consistent=True)
 
@@ -889,8 +883,7 @@ def _check_realizable(fc: FiniteClass, dataset: Dataset):
 
 
 # The record meta keys that are run parameters, in record order after "m".
-_LISTPAC_PARAMS = ("seed", "strategy", "orient_budget", "search_budget", "game_iters",
-                   "response_tries")
+_LISTPAC_PARAMS = ("seed", "strategy", "orient_budget", "search_budget")
 
 
 def _list_pac_core(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int],
@@ -929,6 +922,7 @@ def _list_pac_core(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int],
         pipeline="oig-listpac",
         meta={
             "k": k, "d": d, "p": p, "q": q, "m": dataset.m, **params,
+            "game_iters": GAME_ITERS, "response_tries": RESPONSE_TRIES,
             "rounds_run": len(rounds), "early_stopped": early_stopped,
             "class_fingerprint": fc.fingerprint, "alphabet_size": len(fc.alphabet),
             "compression_safe": True,
@@ -942,8 +936,7 @@ def _list_pac_core(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int],
 
 def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
                      d: Optional[int] = None, strategy: str = "auto",
-                     orient_budget: int = 10**6, search_budget: int = 20000,
-                     game_iters: int = 16, response_tries: int = 8) -> ListPacResult:
+                     orient_budget: int = 10**6, search_budget: int = 20000) -> ListPacResult:
     """Learn a k-list for a realizable sample from a finite class.
 
     Starts from the greedy cover (a k*q-list that contains every training
@@ -962,14 +955,12 @@ def k_list_pac_learn(fc: FiniteClass, dataset: Dataset, k: int, seed: int = 0,
 
     def round_runner(j, sub_fc, sub_dataset, d):
         wl = wrong_label_learner(sub_fc, sub_dataset, d, rng=rs.child("round", j),
-                                 game_iters=game_iters, response_tries=response_tries,
                                  strategy=strategy, orient_budget=orient_budget,
                                  tag=f"round:{j}")
         return wl.mu, wl.record_group, wl.max_true_vote
 
     params = dict(seed=seed, strategy=strategy, orient_budget=orient_budget,
-                  search_budget=search_budget, game_iters=game_iters,
-                  response_tries=response_tries)
+                  search_budget=search_budget)
     return _list_pac_core(fc, dataset, k, d, params, cover_runner, round_runner)
 
 
@@ -978,8 +969,9 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
     """Rebuild the k-list by running k_list_pac_learn's code on the record's slots.
 
     Every replayed hypothesis is re-fingerprinted (NonDeterministicLearner on
-    a mismatch). q, p and the number of rounds are derived, not read; the
-    record is held to the replay contract of ``compression``.
+    a mismatch). q, p and the number of rounds are derived, and the game's
+    constants rebuilt, not read; the record is held to the replay contract of
+    ``compression``.
     """
     fc = finite_class
     if fc is None:
@@ -993,11 +985,9 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
 
     def cover_runner(d, q):
         slots = record.group("cover").slots
-        cover = _cover_loop(fc, dataset, k, d, q,
-                            lambda j, _: ([s.indices for s in slots[j - 1:j]], False),
-                            strategy, orient_budget)
-        check_fingerprints(slots, [s.pred_hash for s in cover.record_group.slots], "cover")
-        return cover
+        return _cover_loop(fc, dataset, k, d, q,
+                           lambda j, _: ([s.indices for s in slots[j - 1:j]], False),
+                           strategy, orient_budget, slots)
 
     def round_runner(j, sub_fc, sub_dataset, d):
         recorded = record.group(f"round:{j}")
@@ -1005,8 +995,7 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
         indices = [s.indices for s in recorded.slots]
         preds = [_slot_predictions(sub_fc, sub_dataset, idx, p_j, strategy, orient_budget)[1]
                  for idx in indices]
-        group = _wrong_label_group(recorded.tag, indices, preds, recorded.draws)
-        check_fingerprints(recorded.slots, [s.pred_hash for s in group.slots], recorded.tag)
+        group = slot_group(recorded.tag, indices, preds, recorded.slots, recorded.draws)
         max_true_vote, tilde = _wrong_label_vote(sub_fc, sub_dataset, indices, preds,
                                                  recorded.draws, p_j, strategy, orient_budget)
         return tilde, group, max_true_vote

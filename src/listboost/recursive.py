@@ -20,10 +20,10 @@ from typing import Optional
 
 # bench/spans.py wraps stable_digest in this module, which does not call it.
 from .core import Dataset, ListFunction, RandomStream, coverage_mask, stable_digest
-from .compression import (CompressionRecord, RecordGroup, check_rebuilt, check_record_ids,
-                          compression_size, read_meta)
+from .compression import (CompressionRecord, check_rebuilt, check_record_ids, compression_size,
+                          read_meta, slot_group)
 from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
-from .hedge import ScoreTable, replay_hedge, round_slots, run_hedge
+from .hedge import ScoreTable, replay_hedge, run_hedge
 from .hint import build_initial_hint, default_hint_rounds, replay_initial_hint
 from .weak_learn import BrgAuditLog, WeakLearnerSpec
 
@@ -159,9 +159,12 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     for j in range(1, p):
         if all(len(lst) <= 1 for lst in cur_lists.values()):
             break
-        result, slots = phase_runner(j, lists[-1])
-        if len(slots) != T:
-            raise InvalidParams(f"record group phase-{j} has {len(slots)} rounds, not T={T}")
+        result, recorded = phase_runner(j, lists[-1])  # replay's slots to check; () in training
+        group = slot_group(f"phase-{j}", result.round_indices, result.score.predictions,
+                           recorded)
+        if len(group.slots) != T:
+            raise InvalidParams(f"record group {group.tag} has {len(group.slots)} rounds, "
+                                f"not T={T}")
         oracle_calls += T
         denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)
         new_entries = {x: _kept(lst, result.score.counts(x), T, denom)
@@ -173,7 +176,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         lost = m - int(coverage_mask(dataset, nxt).sum())
         if lost:
             raise PhaseFailure(j, lost=lost)
-        phase_groups.append(RecordGroup(tag=f"phase-{j}", slots=slots))
+        phase_groups.append(group)
         scores.append(result.score)
         denominators.append(denom)
         lists.append(nxt)
@@ -222,7 +225,7 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
         result = run_hedge(dataset, mu_j, effective, config.T, config.eta,
                            rs.child("phase", j), gamma=config.gamma,
                            audit_log=audit_log, audit_tag=f"phase{j}:")
-        return result, round_slots(result)
+        return result, ()
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 
@@ -243,7 +246,7 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
                               audit_tag=f"phase{j}:", where=group.tag)
-        return result, round_slots(result, group.slots, group.tag)
+        return result, group.slots
 
     res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
     check_rebuilt(record, res.record)
@@ -266,19 +269,15 @@ class AdaptiveResult:
 
 def adaptive_gamma(dataset: Dataset, spec: WeakLearnerSpec, gamma_init: float,
                    m0: Optional[int] = None, seed: int = 0, delta: float = 0.05,
-                   gamma_min: Optional[float] = None,
                    audit_log: Optional[BrgAuditLog] = None) -> AdaptiveResult:
-    """Halve the edge guess on failure until a run survives or the floor is hit.
+    """Halve the edge guess on failure until a run survives or the floor 1/m is hit.
 
     Every attempt recomputes (T, p, eta) from the current gamma. The number
-    of attempts is at most log2(gamma_init / gamma_min) + 1; the floor
-    defaults to 1/m.
+    of attempts is at most log2(gamma_init * m) + 1.
     """
     if not (0.0 < gamma_init < 1.0):
         raise InvalidGamma(f"gamma_init must be in (0, 1), got {gamma_init!r}")
-    floor = gamma_min if gamma_min is not None else 1.0 / dataset.m
-    if floor <= 0:
-        raise InvalidParams("gamma_min must be positive")
+    floor = 1.0 / dataset.m
     attempts = []
     gamma = gamma_init
     while gamma >= floor * (1.0 - 1e-12):

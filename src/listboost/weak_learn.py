@@ -83,7 +83,6 @@ class WeakLearner:
     """Base class; subclasses implement ``train(sample, mu) -> WeakHypothesis``."""
 
     name = "weak-learner"
-    deterministic = True
     distribution_aware = False
     # True when the trained hypothesis is a pure function of (sample, mu),
     # which is what a sample-compression reconstruction is allowed to assume.

@@ -10,6 +10,10 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import pytest
+
+from tests.conftest import bench_workloads
+
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -30,3 +34,20 @@ def test_every_traced_name_resolves():
         except AttributeError:
             missing.append(f"{getattr(owner, '__name__', owner)}.{attr} ({name})")
     assert not missing, f"bench/spans.py wraps names that no longer exist: {missing}"
+
+
+@pytest.mark.parametrize("workload", ["boost-erm", "listpac-oig"])
+def test_a_traced_tiny_operation_counts_slot_digests(monkeypatch, tmp_path, workload):
+    # Every record slot is hashed through the digest the tracer wraps.
+    spans, workloads = _load_spans(), bench_workloads(monkeypatch)
+    wl = workloads.WORKLOADS[workload]
+    inp = wl.inputs(0, workloads.TINY_SIZES[workload])[0]
+    tracer = spans.Tracer()
+    tracer.begin_round()
+    tracer.install()
+    try:
+        wl.run(inp, workloads.Clock(), tmp_path / "record.json")
+    finally:
+        tracer.uninstall()
+    tracer.end_round()
+    assert tracer.per_round()[0]["core.digest.calls"] > 0

@@ -4,7 +4,9 @@ import copy
 import json
 import math
 import re
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from listboost import (
@@ -12,7 +14,10 @@ from listboost import (
     ErmFiniteLearner,
     HypothesisSlot,
     InvalidParams,
+    ListFunction,
     MonteCarloReport,
+    NonDeterministicLearner,
+    RandomStream,
     RTooLarge,
     RecordGroup,
     SchemeRun,
@@ -27,9 +32,12 @@ from listboost import (
     replay_boost,
     replay_list_pac,
     replay_weak_to_list,
+    run_hedge,
     weak_to_list,
 )
-from listboost.core import ListFunction, make_dataset
+from listboost import core
+from listboost.compression import slot_group
+from listboost.core import make_dataset
 from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
@@ -104,6 +112,48 @@ def test_record_json_round_trip(tmp_path):
         rec.group("nope")
 
 
+def _slot_rows(kind, monkeypatch):
+    """A group's slot indices, its rows as slot_group takes them, and each row's hashed tuple."""
+    if kind == "hedge":  # the tiny boost-erm input of the benchmark: 30 rounds, 5 distinct rows
+        workloads = bench_workloads(monkeypatch)
+        inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+        ds = inp.dataset
+        res = run_hedge(ds, ListFunction.universal(ds.alphabet),
+                        WeakLearnerSpec(inp.spec.learner, m0=10), T=30, eta=0.4,
+                        rng=RandomStream(2, ("mixed",)))
+        rows = res.score.predictions
+        return res.round_indices, rows, [tuple(row) for row in rows.tolist()]
+    if kind == "wrong-label":  # a min-excluded label per instance, one int64 array per slot
+        plain = [(0, 2, 1, 1), (1, 1, 0, 2), (0, 2, 1, 1), (0, 2, 1, 0), (0, 2, 1, 1)]
+        return ([(i, i + 1) for i in range(5)], [np.array(r, dtype=np.int64) for r in plain],
+                plain)
+    plain = [((0,), (1, 2)), ((0,), (1, 2)), ((1,), (0, 2)), ((0,), (1, 2))]  # cover lists
+    return [(i,) for i in range(4)], plain, plain
+
+
+@pytest.mark.parametrize("kind", ["hedge", "wrong-label", "cover"])
+def test_slot_group_hashes_rows_once_and_names_a_tampered_slot(monkeypatch, kind):
+    # An array row is hashed as the tuple of its entries and a tuple row as it
+    # is, once per distinct row; replay names the one tampered slot even when
+    # identical rows surround it.
+    indices, rows, plain = _slot_rows(kind, monkeypatch)
+    digest, hashed = core.stable_digest, []
+    monkeypatch.setattr(core, "stable_digest", lambda obj: hashed.append(obj) or digest(obj))
+    group = slot_group("g", indices, rows)
+    assert len(hashed) == len(set(hashed)) and set(hashed) == set(plain)
+    assert [s.pred_hash for s in group.slots] == [digest(row) for row in plain]
+    assert [(s.slot, s.indices) for s in group.slots] == list(enumerate(map(tuple, indices)))
+    assert slot_group("g", indices, rows, group.slots) == group
+    repeated = Counter(plain).most_common(1)[0][0]
+    at = [n for n, row in enumerate(plain) if row == repeated]
+    assert len(at) >= 3
+    for n in at:  # only this one of the identical rows is tampered
+        tampered = list(group.slots)
+        tampered[n] = HypothesisSlot(slot=n, indices=tampered[n].indices, pred_hash="0" * 24)
+        with pytest.raises(NonDeterministicLearner, match=f"^g slot {n}:"):
+            slot_group("g", indices, rows, tampered)
+
+
 def test_load_rejects_unknown_format(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"format": "other/9", "pipeline": "boost",
@@ -163,6 +213,22 @@ def _meta_drop(key):
     return tamper
 
 
+def _non_integer(tag, field, value):
+    """Set group ``tag``'s first slot id, first index or first draw to ``value(old)``."""
+    def tamper(rec):
+        group = next(g for g in rec["groups"] if g["tag"] == tag)
+        slot = group["slots"][0]
+        if field == "slot":
+            slot["slot"] = value(slot["slot"])
+            return f"group {tag!r} has a non-integer slot id: {slot['slot']!r}"
+        if field == "index":
+            slot["indices"][0] = value(slot["indices"][0])
+            return f"group {tag!r} slot 0 has a non-integer index: {slot['indices'][0]!r}"
+        group["draws"][0] = value(group["draws"][0])
+        return f"group {tag!r} draws a non-integer slot id: {group['draws'][0]!r}"
+    return tamper
+
+
 _TAMPERS = {
     "m": _meta_edit("m", lambda v: v + 1),
     "learner": _meta_edit("learner", lambda v: v + "-edited"),
@@ -179,16 +245,22 @@ _TAMPERS = {
     "cover[-1]": _slot_index("cover", lambda m: -1),
     "cover[m]": _slot_index("cover", lambda m: m),
     "round:1[m]": _slot_index("round:1", lambda m: m),
+    "hint.slot:str": _non_integer("hint", "slot", str),
+    "hint[0]+0.5": _non_integer("hint", "index", lambda i: i + 0.5),
+    "rounds[0]:true": _non_integer("rounds", "index", lambda i: True),
+    "round:1.draws[0]:float": _non_integer("round:1", "draw", float),
+    "game_iters": _meta_edit("game_iters", lambda v: v + 1),
     **{f"no-{key}": _meta_drop(key) for key in ("eta", "T", "m0", "gamma", "d")},
 }
 _CASES = [("boost", name) for name in (
     "m", "learner", "alphabet_size", "hint_rounds", "phases_run", "compression_safe",
     "hint[-1]", "hint[m]", "phase-1[-1]", "phase-1[m]", "no-eta", "no-T", "no-m0",
-    "no-gamma")]
+    "no-gamma", "hint.slot:str", "hint[0]+0.5")]
 _CASES += [("list-boost", name) for name in (
     "m", "learner", "alphabet_size", "compression_safe", "rounds[-1]", "rounds[m]",
-    "no-eta", "no-T", "no-m0", "no-gamma")]
-_CASES += [("oig-listpac", name) for name in ("cover[-1]", "cover[m]", "round:1[m]", "no-d")]
+    "no-eta", "no-T", "no-m0", "no-gamma", "rounds[0]:true")]
+_CASES += [("oig-listpac", name) for name in ("cover[-1]", "cover[m]", "round:1[m]", "no-d",
+                                              "round:1.draws[0]:float", "game_iters")]
 
 
 @pytest.mark.parametrize("pipeline, case", _CASES, ids=[f"{p}:{c}" for p, c in _CASES])

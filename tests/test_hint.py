@@ -86,14 +86,14 @@ def test_replay_matches_and_detects_tampering(planted):
     fc, ds = planted
     spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=7)
     res = build_initial_hint(ds, spec, p=6, rng=RandomStream(9, ("hint",)))
-    rep = replay_initial_hint(ds, spec, p=6, recorded_slots=res.slots)
+    rep = replay_initial_hint(ds, spec, p=6, recorded_slots=res.record_group.slots)
     assert rep.rounds_run == res.rounds_run
     assert rep.covered_all == res.covered_all
     for x in ds.unique_instances:
         assert rep.mu(x) == res.mu(x)
-    assert [s.pred_hash for s in rep.slots] == [s.pred_hash for s in res.slots]
+    assert rep.record_group == res.record_group
 
-    bad = list(res.slots)
+    bad = list(res.record_group.slots)
     bad[0] = type(bad[0])(slot=bad[0].slot, indices=bad[0].indices,
                           pred_hash="0" * len(bad[0].pred_hash))
     with pytest.raises(NonDeterministicLearner):
@@ -105,7 +105,7 @@ def test_replay_truncated_record_fails(counterexample_dataset):
     spec = WeakLearnerSpec(ConstantLearner(0), m0=ds.m)
     res = build_initial_hint(ds, spec, p=4, rng=RandomStream(0, ("hint",)))
     with pytest.raises(NonDeterministicLearner):
-        replay_initial_hint(ds, spec, p=4, recorded_slots=res.slots[:2])
+        replay_initial_hint(ds, spec, p=4, recorded_slots=res.record_group.slots[:2])
 
 
 def test_round_budget_validation(counterexample_dataset):

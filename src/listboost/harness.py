@@ -401,20 +401,33 @@ def _run_plurality_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
     return row
 
 
+# Each pipeline's seed runner and the top-level config keys it reads.
 _PIPELINES = {
-    "boost": _run_boost_seed,
-    "list-boost": _run_list_boost_seed,
-    "oig-listpac": _run_listpac_seed,
-    "plurality": _run_plurality_seed,
+    "boost": (_run_boost_seed, ("gamma", "learner", "m0", "delta", "adaptive", "T", "p",
+                                "eta", "heldout")),
+    "list-boost": (_run_list_boost_seed, ("k0", "eps0", "delta", "m0", "T", "heldout")),
+    "oig-listpac": (_run_listpac_seed, ("k", "d", "strategy", "orient_budget",
+                                        "search_budget", "delta", "heldout")),
+    "plurality": (_run_plurality_seed, ("gamma", "learner", "m0", "T", "eta")),
 }
+# The keys run_experiment and _seed_row read for every pipeline.
+_COMMON_KEYS = ("pipeline", "seeds", "workers", "dataset", "fixed_data")
+
+
+def _check_config(cfg: dict) -> None:
+    """InvalidParams for an unknown pipeline, or naming the first key it does not read."""
+    pipeline = cfg.get("pipeline", "boost")
+    if pipeline not in _PIPELINES:
+        raise InvalidParams(f"unknown pipeline {pipeline!r}")
+    unread = [key for key in cfg if key not in _COMMON_KEYS + _PIPELINES[pipeline][1]]
+    if unread:
+        raise InvalidParams(f"config key {unread[0]!r} is not read by the {pipeline!r} "
+                            "pipeline")
 
 
 def _seed_row(cfg: dict, seed: int) -> dict:
     pipeline = cfg.get("pipeline", "boost")
-    try:
-        runner = _PIPELINES[pipeline]
-    except KeyError:
-        raise InvalidParams(f"unknown pipeline {pipeline!r}") from None
+    runner = _PIPELINES[pipeline][0]
     data_cfg = dict(cfg.get("dataset", {}))
     kind = data_cfg.pop("kind", "planted-finite-class")
     path = data_cfg.pop("path", None)
@@ -503,6 +516,7 @@ def load_config(path) -> dict:
 def run_experiment(config, workers: int = None) -> ExperimentReport:
     """Run a pipeline over each configured seed and assemble rows in seed order."""
     cfg = load_config(config) if isinstance(config, (str, os.PathLike)) else dict(config)
+    _check_config(cfg)
     seeds = _config_seeds(cfg)
     if not seeds:
         raise InvalidParams("config selects no seeds")

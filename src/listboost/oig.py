@@ -667,7 +667,7 @@ def initial_cover(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int] = 
 # The wrong-label game: a consistent (p-1)-list from averaged wrong-label votes.
 
 # The game's rounds, and the subsets each round draws at most; list-PAC records
-# keep both in their meta.
+# keep both in their meta. A round votes with all GAME_ITERS responses, its draws.
 GAME_ITERS = 16
 RESPONSE_TRIES = 8
 
@@ -678,9 +678,7 @@ class WrongLabelResult:
     record_group: RecordGroup
     p: int
     n_u: int
-    ell: int
     max_true_vote: float
-    consistent: bool
 
 
 def _min_excluded(labels: tuple, p: int) -> int:
@@ -751,9 +749,9 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     distribution over training subsets: the adversary reweights examples their
     current cover misses, the learner answers with a fresh subset drawn from
     that weight vector whose one-inclusion list covers at least 1 - 1/(4p) of
-    the mass (best of RESPONSE_TRIES draws, recorded). The averaged wrong-label
-    votes over ell draws from the answer bag then pin down, per instance, one
-    label that cannot be the true one.
+    the mass (best of RESPONSE_TRIES draws, recorded). The wrong-label votes
+    averaged over the bag of GAME_ITERS answers, recorded as the ``draws``,
+    then pin down, per instance, one label that cannot be the true one.
     """
     p = len(fc.alphabet)
     if p < 2:
@@ -796,15 +794,12 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
         bag.append(best_sid)
         log_w += eta * (~slot_covers[best_sid]).astype(np.float64)
 
-    ell = math.ceil(8.0 * p * p * math.log(max(2 * m, 2)))
-    draw_gen = rng.child("draws").generator()
-    draws = [bag[int(i)] for i in draw_gen.integers(len(bag), size=ell)]
     slot_indices = list(slot_by_key)
-    max_true_vote, mu = _wrong_label_vote(fc, dataset, slot_indices, slot_preds, draws, p,
+    max_true_vote, mu = _wrong_label_vote(fc, dataset, slot_indices, slot_preds, bag, p,
                                           strategy, orient_budget)
-    group = slot_group(tag, slot_indices, slot_preds, draws=draws)
-    return WrongLabelResult(mu=mu, record_group=group, p=p, n_u=n_u, ell=ell,
-                            max_true_vote=max_true_vote, consistent=True)
+    group = slot_group(tag, slot_indices, slot_preds, draws=bag)
+    return WrongLabelResult(mu=mu, record_group=group, p=p, n_u=n_u,
+                            max_true_vote=max_true_vote)
 
 
 # ---------------------------------------------------------------------------
@@ -991,6 +986,8 @@ def replay_list_pac(record: CompressionRecord, dataset: Dataset,
 
     def round_runner(j, sub_fc, sub_dataset, d):
         recorded = record.group(f"round:{j}")
+        if not recorded.draws:
+            raise InvalidParams(f"group {recorded.tag!r} has no draws to vote with")
         p_j = len(sub_fc.alphabet)
         indices = [s.indices for s in recorded.slots]
         preds = [_slot_predictions(sub_fc, sub_dataset, idx, p_j, strategy, orient_budget)[1]

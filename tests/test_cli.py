@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from listboost import InvalidParams
 from listboost.cli import main
 
 
@@ -183,6 +184,15 @@ def test_experiment_subcommand(tmp_path, capsys):
     assert rc == 0
     summary = _lines(capsys)[-1]
     assert summary["aggregate"]["n_seeds"] == 1
+
+
+def test_experiment_rejects_a_key_added_by_set(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"pipeline": "plurality", "seeds": 1, "T": 40,
+                                    "dataset": {"kind": "counterexample"}}))
+    with pytest.raises(InvalidParams,
+                       match="config key 'gama' is not read by the 'plurality' pipeline"):
+        main(["experiment", "--config", str(cfg_path), "--set", "gama=0.9"])
 
 
 def test_experiment_failing_config_exits_nonzero(tmp_path, capsys):

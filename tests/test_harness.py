@@ -1,6 +1,7 @@
 """Experiment harness: generators, JSON-lines IO, reports, budget caps."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -214,6 +215,39 @@ def test_listpac_pipeline_row():
     row = report.rows[0]
     assert row["consistent"] is True and row["passed"] is True
     assert row["r"] >= 0
+
+
+def test_config_keys_the_pipeline_does_not_read_are_rejected():
+    # Misspelt keys, and the game constants list-PAC no longer reads, once ran
+    # silently with the defaults.
+    cfg = {
+        "pipeline": "oig-listpac",
+        "seeds": 1,
+        "k": 2,
+        "dataset": {"kind": "planted-finite-class", "m": 12, "labels": 3,
+                    "class_size": 5, "instances": 6},
+        "game_iters": 2,
+        "response_tries": 1,
+        "gama": 0.9,
+    }
+    with pytest.raises(InvalidParams, match="config key 'game_iters' is not read by "
+                                            "the 'oig-listpac' pipeline"):
+        run_experiment(cfg)
+    for key in ("game_iters", "response_tries"):
+        del cfg[key]
+    with pytest.raises(InvalidParams, match="config key 'gama'"):
+        run_experiment(cfg)
+    # gamma is read by boost, not by list-PAC
+    cfg["gamma"] = cfg.pop("gama")
+    with pytest.raises(InvalidParams, match="config key 'gamma'"):
+        run_experiment(cfg)
+
+
+def test_readme_example_config_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("An experiment config is a JSON object")[1]
+    report = run_experiment(json.loads(example.split("```json\n")[1].split("```")[0]))
+    assert report.all_passed
 
 
 def test_unknown_pipeline_rejected():

@@ -9,6 +9,7 @@ import copy
 import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from listboost import (
     wrong_label_learner,
 )
 from listboost import oig
-from listboost.compression import CompressionRecord
+from listboost.compression import CompressionRecord, reconstruct
 from listboost.core import make_dataset, stable_digest
 from tests.conftest import bench_workloads, build_class, planted_dataset
 
@@ -278,20 +279,20 @@ def test_initial_cover_fails_with_understated_dimension(catalog):
 
 
 def test_wrong_label_learner_excludes_only_false_labels(catalog):
-    # ell = ceil(8 p^2 ln 2m) = ceil(72 ln 12) = 179 for p=3, m=6.
     fc = catalog["hexagon"]
     ds = planted_dataset(fc, m=6, seed=5)
     res = wrong_label_learner(fc, ds, d=1, rng=RandomStream(2, ("wl",)))
-    assert res.p == 3 and res.ell == 179
+    assert res.p == 3
     assert res.n_u == 4 * 3 * 1
-    assert res.consistent
     assert res.max_true_vote < 1.0 / (2 * res.p)
     for ex in ds.examples:
         lst = res.mu(ex.instance)
         assert ex.label in lst
         assert len(lst) == res.p - 1
-    assert res.record_group.draws is not None
-    assert len(res.record_group.draws) == res.ell
+    # The vote is the game's bag: one draw per round, each naming a slot.
+    draws = res.record_group.draws
+    assert len(draws) == oig.GAME_ITERS
+    assert set(draws) <= set(range(len(res.record_group.slots)))
 
 
 def test_list_pac_learning_hexagon(catalog):
@@ -475,14 +476,21 @@ def test_replay_list_pac_predicts_each_slot_once_per_instance(monkeypatch):
     assert next(pending, None) is None
 
 
+def _listpac_size(res):
+    """The cover's subsets, plus GAME_ITERS draws of a 4 p_j d-index slot per round."""
+    cover = sum(len(s.indices) for s in res.record.group("cover").slots)
+    return cover + sum(oig.GAME_ITERS * 4 * rnd.p_j * res.d for rnd in res.rounds)
+
+
 @pytest.mark.parametrize("seed,sha256", [
-    (0, "2d88524f66607fea353d67d81d7d6f31c6cad1709d3728b4b2a428e58fe5119c"),
-    (5, "1558c0724bb8c7129787dd5555be43b574bfd909e9f9e8dd59eb0efa61238bbb"),
+    (0, "1321d065758384ca279c9bb16977908bc309f7da21ac5b17630da85eed73ece9"),
+    (5, "f73ac3ed3fefa4cf7651b1020f0d4b6133280672248e116111a8e2151410e8c5"),
 ])
 def test_tiny_listpac_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
     # A change that claims "records unchanged" keeps these digests; one that
     # changes the record on purpose recomputes them and says why.
     inp, res = _tiny_listpac(monkeypatch, seed)
+    assert res.compression_size == _listpac_size(res)
     path = tmp_path / "record.json"
     res.record.dump(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha256
@@ -496,7 +504,51 @@ def test_full_listpac_record_bytes_are_pinned(monkeypatch, tmp_path):
     path = tmp_path / "record.json"
     res.record.dump(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "1bb3e4ae5b9c35cfaba3874ef8216e31630534263033dff530a6604260edbfc1"
+        "d1b610f5e2a15907a1e049d49fdb9a72b59a31831f30d9c6eab91b101a8b5e5e"
+
+
+def test_listpac_record_size_is_linear_in_k(monkeypatch):
+    # Hamming-ball classes of the listpac-oig shape, seed 0: one round runs at
+    # every k, and p = k q, so each k adds the same GAME_ITERS 4 q d indices.
+    workloads = bench_workloads(monkeypatch)
+    sizes = []
+    for k in (1, 2, 3):
+        inp = workloads.build_listpac_oig(0, 0, dict(workloads.SIZES["listpac-oig"], k=k))
+        res = k_list_pac_learn(inp.finite_class, inp.dataset, k, seed=0)
+        assert res.consistent_on_train and res.rounds_run == 1
+        assert res.compression_size == _listpac_size(res)
+        sizes.append(res.compression_size)
+    assert sizes == [836, 1668, 2500]
+
+
+def test_full_listpac_records_stay_small_on_every_seed(monkeypatch):
+    workloads = bench_workloads(monkeypatch)
+    for seed in range(16):
+        inp = workloads.build_listpac_oig(seed, 0, workloads.SIZES["listpac-oig"])
+        fc = inp.finite_class
+        res = k_list_pac_learn(fc, inp.dataset, inp.k, seed=seed)
+        assert res.consistent_on_train, seed
+        assert res.compression_size <= 1000, seed
+        lists = replay_list_pac(res.record, inp.dataset, fc)
+        assert [lists(c) for c in fc.columns] == [res.mu(c) for c in fc.columns], seed
+
+
+def test_listpac_record_with_sampled_draws_still_replays(monkeypatch, tmp_path):
+    # Dumped when a round recorded ceil(8 p^2 ln 2m) draws sampled from its bag;
+    # replay votes with whatever draws a record holds.
+    fixture = Path(__file__).parent / "data" / "listpac_oig_tiny_seed0_record1.json"
+    assert hashlib.sha256(fixture.read_bytes()).hexdigest() == \
+        "2d88524f66607fea353d67d81d7d6f31c6cad1709d3728b4b2a428e58fe5119c"
+    inp, res = _tiny_listpac(monkeypatch, 0)
+    record = CompressionRecord.load(fixture)
+    p, m = record.meta["p"], record.meta["m"]
+    assert len(record.group("round:1").draws) == math.ceil(8 * p * p * math.log(2 * m))
+    lists = reconstruct(record, inp.dataset, finite_class=inp.finite_class)
+    columns = inp.finite_class.columns
+    assert [lists(c) for c in columns] == [res.mu(c) for c in columns]
+    path = tmp_path / "record.json"
+    record.dump(path)
+    assert path.read_bytes() == fixture.read_bytes()
 
 
 def _alias_cover_index(rec):
@@ -511,10 +563,18 @@ def _draw_missing_slot(rec):
     group["draws"][0] = 99
 
 
+def _round_draws(value):
+    def tamper(rec):
+        next(g for g in rec["groups"] if g["tag"] == "round:1")["draws"] = value
+    return tamper
+
+
 @pytest.mark.parametrize("tamper,match", [
     (_alias_cover_index, "group 'cover' has a slot index outside"),
     (_draw_missing_slot, "group 'round:1' draws a slot id outside"),
-], ids=["cover-index-from-the-end", "round-draw-99"])
+    (_round_draws(None), "group 'round:1' has no draws to vote with"),
+    (_round_draws([]), "group 'round:1' has no draws to vote with"),
+], ids=["cover-index-from-the-end", "round-draw-99", "round-draws-null", "round-draws-empty"])
 def test_replay_list_pac_range_checks_recorded_ids(monkeypatch, tamper, match):
     inp, res = _tiny_listpac(monkeypatch, 0)
     obj = copy.deepcopy(res.record.to_json_dict())

@@ -265,6 +265,11 @@ class ListFunction:
         entries = {k: tuple(v) for k, v in entries.items()} if entries else None
         return cls("composed", declared_size, entries=entries, extend=extend, name=name)
 
+    @classmethod
+    def tabled(cls, extend: Callable, instances, declared_size: int, name="") -> "ListFunction":
+        """A composed list function whose table is ``extend`` at each of ``instances``."""
+        return cls.composed(extend, declared_size, {x: extend(x) for x in instances}, name)
+
     @property
     def is_universal(self) -> bool:
         return self.kind == "universal"

@@ -13,7 +13,6 @@ import concurrent.futures
 import csv
 import hashlib
 import json
-import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -37,7 +36,7 @@ from .errors import (
 )
 from .hedge import eliminate_min_label, run_hedge
 from .oig import FiniteClass, k_list_pac_learn
-from .recursive import BoostConfig, adaptive_gamma, recursive_boost
+from .recursive import BoostConfig, adaptive_gamma, default_learning_rate, recursive_boost
 from .weak_learn import (
     BrgAuditLog,
     CalibratedBrgOracle,
@@ -377,7 +376,7 @@ def _run_plurality_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
                                    gen_res.finite_class, gamma)
     spec = WeakLearnerSpec(learner, int(cfg.get("m0", ds.m)))
     T = int(cfg.get("T", 100))
-    eta = float(cfg.get("eta") or math.sqrt(math.log(max(ds.m, 2)) / (2.0 * T)))
+    eta = float(cfg.get("eta") or default_learning_rate(ds.m, T))
     mu = ListFunction.universal(ds.alphabet)
     result = run_hedge(ds, mu, spec, T, eta, RandomStream(seed, ("plurality",)))
     score = result.score

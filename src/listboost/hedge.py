@@ -9,9 +9,10 @@ evaluated once per distinct training instance. The score table keeps, per
 instance, one row of vote counts indexed by label: how many rounds voted
 that label there. Row sums equal the round count exactly because every
 hypothesis casts one vote. Elsewhere each distinct hypothesis object is
-asked once and its vote counted once per round that returned it. A run's
-record group is written by ``compression.slot_group``, one slot per round
-from its sample and prediction row (``round_indices`` and
+asked once and its vote counted once per round that returned it. The
+wrong-label game of ``oig`` counts its bag's guesses in the same table, one
+round per draw. A run's record group is written by ``compression.slot_group``,
+one slot per round from its sample and prediction row (``round_indices`` and
 ``score.predictions``).
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
@@ -39,7 +40,7 @@ from .weak_learn import (
 
 
 class ScoreTable:
-    """Vote counts H(x, y) accumulated over the trained hypotheses.
+    """Vote counts H(x, y) accumulated over the trained hypotheses or the game's guessers.
 
     One memo maps each instance to an int64 row indexed by label, at least
     as long as the alphabet. Every training instance's row is counted up

@@ -37,6 +37,7 @@ from .errors import (
     PhaseFailure,
 )
 from .hedge import HedgeResult, replay_hedge, run_hedge
+from .recursive import default_learning_rate, default_round_count
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
 
 
@@ -88,10 +89,9 @@ class ConversionParams:
 
 
 def _vote_entry(counts, k: int, T: int) -> tuple:
-    """Labels whose vote count strictly clears T/k, score-descending order."""
-    kept = sorted((y for y, c in enumerate(counts.tolist()) if c * k > T),
-                  key=lambda y: (-counts[y], y))
-    return tuple(kept[: k - 1] if k > 1 else kept)
+    """Labels whose vote count strictly clears T/k (at most k - 1), score-descending order."""
+    return tuple(sorted((y for y, c in enumerate(counts.tolist()) if c * k > T),
+                        key=lambda y: (-counts[y], y)))
 
 
 @dataclass
@@ -117,13 +117,8 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, recorded,
     if len(group.slots) != T:
         raise InvalidParams(f"record group rounds has {len(group.slots)} rounds, not T={T}")
     score = result.score
-    entries = {x: _vote_entry(score.counts(x), k, T) for x in dataset.unique_instances}
-
-    def extend(x):
-        return _vote_entry(score.counts(x), k, T)
-
-    mu = ListFunction.composed(extend, declared_size=max(1, k - 1), entries=entries,
-                               name=f"weak-to-list[k={k}]")
+    mu = ListFunction.tabled(lambda x: _vote_entry(score.counts(x), k, T),
+                             dataset.unique_instances, k - 1, f"weak-to-list[k={k}]")
     missed = dataset.m - int(coverage_mask(dataset, mu).sum())
     if missed:
         raise PhaseFailure(
@@ -156,9 +151,9 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
     sigma = gamma - 1.0 / k
     m = dataset.m
     if T is None:
-        T = max(1, math.ceil(8.0 * math.log(max(m, 2)) / sigma**2))
+        T = default_round_count(m, sigma)
     if eta is None:
-        eta = math.sqrt(math.log(max(m, 2)) / (2.0 * T))
+        eta = default_learning_rate(m, T)
     mu0 = ListFunction.universal(dataset.alphabet)
     rs = RandomStream(seed, ("weak-to-list",))
     result = run_hedge(dataset, mu0, spec, T, eta, rs.child("rounds"), gamma=gamma,

@@ -53,6 +53,9 @@ from .errors import (
     SearchExhausted,
     UnknownInstance,
 )
+from .hedge import ScoreTable
+from .recursive import default_learning_rate
+from .weak_learn import WeakHypothesis
 
 
 _SIGN_BIT = np.uint64(1 << 63)
@@ -530,13 +533,6 @@ def oig_list_function(fc: FiniteClass, sample, k: int, strategy: str = "auto",
                                  name=name or f"oig[k={k}]")
 
 
-def _tabled_mu(extend, dataset: Dataset, declared: int, name: str) -> ListFunction:
-    """A composed list function with its table on the sample's distinct instances."""
-    entries = {x: extend(x) for x in dataset.unique_instances}
-    return ListFunction.composed(extend, declared_size=max(1, declared), entries=entries,
-                                 name=name)
-
-
 # ---------------------------------------------------------------------------
 # Greedy cover: a p-list built from q one-inclusion runs, p = k*q.
 
@@ -628,8 +624,8 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
             f"{len(survivors)} example(s) uncovered after {q} rounds"
         )
     group = slot_group("cover", [r.subset for r in rounds], rows, recorded)
-    mu = _tabled_mu(lambda x: ordered_dedup(y for mu_s in round_mus for y in mu_s(x)),
-                    dataset, k * q, f"cover[p={k * q}]")
+    mu = ListFunction.tabled(lambda x: ordered_dedup(y for mu_s in round_mus for y in mu_s(x)),
+                             dataset.unique_instances, k * q, f"cover[p={k * q}]")
     return CoverResult(mu=mu, record_group=group, q=q, d=d, rounds=rounds)
 
 
@@ -697,45 +693,46 @@ def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strate
     return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
 
 
+def _guesser(fc: FiniteClass, dataset: Dataset, indices, p: int, strategy: str,
+             budget: int) -> WeakHypothesis:
+    """A slot's wrong-label guess: the least label its one-inclusion (p-1)-list leaves out."""
+    sample = []  # built the first time the guess is asked for
+
+    def predict(x):
+        if not sample:
+            sample.extend(dataset.examples[i] for i in indices)
+        pred = one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy, budget=budget)
+        return _min_excluded(pred.labels, p)
+
+    return WeakHypothesis(predict)
+
+
 def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_indices, slot_preds, draws,
                       p: int, strategy: str, budget: int):
-    """Tally the drawn slots' wrong-label votes; the list drops each instance's plurality.
+    """Count the drawn slots' wrong-label guesses; the list drops each instance's plurality.
 
-    The plurality (ties to the lowest label) must miss every training label,
-    else GameNotConverged. Returns the largest true-label vote mass and the
-    list function.
+    The guesses go into a ``hedge.ScoreTable``, one round per draw: counted
+    from the slots' predictions on the sample, and elsewhere by asking each
+    drawn slot's guesser once. The plurality (ties to the lowest label) must
+    miss every training label, else GameNotConverged. Returns the largest
+    true-label vote mass and the list function.
     """
-    uniq = dataset.unique_instances
-    gid = dataset.group_ids
-    slot_counts = np.bincount(np.asarray(draws, dtype=np.int64), minlength=len(slot_preds))
-    vote_counts = np.zeros((len(uniq), p), dtype=np.int64)
-    np.add.at(vote_counts, (np.arange(len(uniq)), np.stack(slot_preds)), slot_counts[:, None])
-    argmax_rows = np.argmax(vote_counts, axis=1)
-    max_true_vote = float(vote_counts[gid, dataset.labels].max() / len(draws))
-    bad = int((dataset.labels == argmax_rows[gid]).sum())
+    guessers = [_guesser(fc, dataset, ix, p, strategy, budget) for ix in slot_indices]
+    score = ScoreTable([guessers[s] for s in draws], dataset,
+                       np.stack(slot_preds)[np.ix_(draws, dataset.group_ids)])
+    max_true_vote = float((score.predictions == dataset.labels).sum(0).max() / len(draws))
+
+    def extend(x):
+        top = int(score.counts(x).argmax())
+        return tuple(range(top)) + tuple(range(top + 1, p))
+
+    mu = ListFunction.tabled(extend, dataset.unique_instances, p - 1, f"wrong-label[p={p}]")
+    bad = dataset.m - int(coverage_mask(dataset, mu).sum())
     if bad:
         raise GameNotConverged(
             f"wrong-label vote hit the true label on {bad} of {dataset.m} example(s); "
             f"max true-label vote mass {max_true_vote:.4f} (threshold {1.0 / (2 * p):.4f})"
         )
-    entries = {
-        x: tuple(y for y in range(p) if y != int(argmax_rows[g]))
-        for g, x in enumerate(uniq)
-    }
-    supports = [([dataset.examples[i] for i in indices], cnt)
-                for indices, cnt in zip(slot_indices, slot_counts) if cnt > 0]
-
-    def extend(x):
-        votes = np.zeros(p, dtype=np.int64)
-        for sample, cnt in supports:
-            pred = one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy,
-                                              budget=budget)
-            votes[_min_excluded(pred.labels, p)] += cnt
-        top = int(np.argmax(votes))
-        return tuple(y for y in range(p) if y != top)
-
-    mu = ListFunction.composed(extend, declared_size=max(1, p - 1), entries=entries,
-                               name=f"wrong-label[p={p}]")
     return max_true_vote, mu
 
 
@@ -750,8 +747,9 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     current cover misses, the learner answers with a fresh subset drawn from
     that weight vector whose one-inclusion list covers at least 1 - 1/(4p) of
     the mass (best of RESPONSE_TRIES draws, recorded). The wrong-label votes
-    averaged over the bag of GAME_ITERS answers, recorded as the ``draws``,
-    then pin down, per instance, one label that cannot be the true one.
+    of the bag of GAME_ITERS answers, recorded as the ``draws`` and counted in
+    a ``hedge.ScoreTable``, then pin down, per instance, one label that cannot
+    be the true one: the list drops the plurality.
     """
     p = len(fc.alphabet)
     if p < 2:
@@ -761,7 +759,7 @@ def wrong_label_learner(fc: FiniteClass, dataset: Dataset, d: int,
     rng = rng if rng is not None else RandomStream(0, ("wrong-label",))
     n_u = 4 * p * d
     target = 1.0 - 1.0 / (4.0 * p)
-    eta = math.sqrt(math.log(max(m, 2)) / (2.0 * GAME_ITERS))
+    eta = default_learning_rate(m, GAME_ITERS)
     log_w = np.zeros(m, dtype=np.float64)
 
     slot_by_key = {}  # per slot: its example indices -> its slot id
@@ -907,11 +905,13 @@ def _list_pac_core(fc: FiniteClass, dataset: Dataset, k: int, d: Optional[int],
         p_j = p - j + 1
         sub_fc, sub_dataset = _relabel_round(fc, dataset, mu, p_j)
         tilde, group, max_true_vote = round_runner(j, sub_fc, sub_dataset, d)
-        mu = _tabled_mu(_pulled_back(mu, tilde), dataset, p - j, f"listpac-mu[{j + 1}]")
+        mu = ListFunction.tabled(_pulled_back(mu, tilde), dataset.unique_instances, p - j,
+                                 f"listpac-mu[{j + 1}]")
         groups.append(group)
         rounds.append(ListPacRound(p_j=p_j, max_true_vote=max_true_vote))
     early_stopped = len(rounds) < p - k
-    final = _tabled_mu(lambda x: mu(x)[:k], dataset, k, f"listpac[k={k}]")
+    final = ListFunction.tabled(lambda x: mu(x)[:k], dataset.unique_instances, k,
+                                f"listpac[k={k}]")
     consistent = bool(coverage_mask(dataset, final).all())
     record = CompressionRecord(
         pipeline="oig-listpac",

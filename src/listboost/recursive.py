@@ -80,10 +80,9 @@ class BoostConfig:
 class StagedListChain:
     """The realized hint lists mu_1..mu_P and the score tables between them."""
 
-    def __init__(self, lists, scores, config: BoostConfig, alphabet):
+    def __init__(self, lists, scores, alphabet):
         self.lists = list(lists)
         self.scores = list(scores)
-        self.config = config
         self.alphabet = tuple(alphabet)
         if len(self.lists) != len(self.scores) + 1:
             raise InvalidParams("chain needs exactly one more list than score tables")
@@ -135,11 +134,11 @@ def _phase_denominator(lists, true_counts, T: int, cap: int) -> int:
 
 
 def _make_stage_list(prev_mu: ListFunction, score: ScoreTable, T: int, denom: int,
-                     entries: dict, declared: int, name: str) -> ListFunction:
+                     instances, declared: int, name: str) -> ListFunction:
     def extend(x):
         return _kept(prev_mu(x), score.counts(x), T, denom)
 
-    return ListFunction.composed(extend, declared_size=declared, entries=entries, name=name)
+    return ListFunction.tabled(extend, instances, declared, name)
 
 
 def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
@@ -167,11 +166,8 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
                                 f"not T={T}")
         oracle_calls += T
         denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)
-        new_entries = {x: _kept(lst, result.score.counts(x), T, denom)
-                       for x, lst in cur_lists.items()}
-        declared = max(1, p - j, max((len(v) for v in new_entries.values()), default=1))
-        nxt = _make_stage_list(lists[-1], result.score, T, denom, new_entries,
-                               declared, name=f"stage[{j + 1}]")
+        nxt = _make_stage_list(lists[-1], result.score, T, denom, dataset.unique_instances,
+                               p - j, name=f"stage[{j + 1}]")
         # every training label is in its current list, so a miss is a lost label
         lost = m - int(coverage_mask(dataset, nxt).sum())
         if lost:
@@ -180,8 +176,8 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         scores.append(result.score)
         denominators.append(denom)
         lists.append(nxt)
-        cur_lists = new_entries
-    chain = StagedListChain(lists, scores, config, dataset.alphabet)
+        cur_lists = nxt.entries
+    chain = StagedListChain(lists, scores, dataset.alphabet)
     consistent = all(chain.predict(x) == int(y)
                      for x, y in zip(dataset.instances, dataset.labels))
     meta = {

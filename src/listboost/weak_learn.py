@@ -38,7 +38,6 @@ from .errors import (
     InvalidParams,
     NonNumericInstance,
 )
-from .oig import FiniteClass
 
 AUDIT_TOLERANCE = 1e-12
 
@@ -268,6 +267,8 @@ class TooWeakLearner(ErmFiniteLearner):
     """
 
     def __init__(self):
+        from .oig import FiniteClass  # oig imports this module
+
         super().__init__(FiniteClass(table=[[0, 0, 2], [1, 1, 2]], columns=("a", "b", "c"),
                                      alphabet=(0, 1, 2)))
         self.name = "too-weak"

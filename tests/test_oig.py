@@ -295,6 +295,33 @@ def test_wrong_label_learner_excludes_only_false_labels(catalog):
     assert set(draws) <= set(range(len(res.record_group.slots)))
 
 
+def test_wrong_label_lists_at_unseen_columns_match_a_recount(monkeypatch):
+    # A Hamming-ball class on 12 columns, sampled on 8 of them: at a column the
+    # sample never shows, the list comes from asking every bag slot again.
+    workloads = bench_workloads(monkeypatch)
+    gen = np.random.default_rng(3)
+    fc, target = workloads.hamming_ball_class(gen, labels=4, columns=12)
+    target = target.copy()
+    target[0] = 1
+    xs = gen.integers(0, 8, size=12)
+    ds = make_dataset([(int(x), int(target[x])) for x in xs], alphabet=fc.alphabet)
+    res = wrong_label_learner(fc, ds, d=1, rng=RandomStream(3, ("wl",)))
+    p, group = res.p, res.record_group
+    unseen = sorted(set(fc.columns) - set(ds.instances))
+    assert unseen
+    split = False
+    for c in unseen:
+        votes = np.zeros(p, dtype=np.int64)
+        for sid, n in zip(*np.unique(group.draws, return_counts=True)):
+            sample = [ds.examples[i] for i in group.slots[sid].indices]
+            pred = one_inclusion_list_predict(fc, sample, c, p - 1)
+            votes[oig._min_excluded(pred.labels, p)] += n
+        top = int(np.argmax(votes))  # ties to the lowest label
+        assert res.mu(c) == tuple(y for y in range(p) if y != top), c
+        split = split or votes[top] < len(group.draws)
+    assert split  # some column's vote is not unanimous
+
+
 def test_list_pac_learning_hexagon(catalog):
     fc = catalog["hexagon"]
     ds = planted_dataset(fc, m=10, seed=7)

@@ -9,8 +9,11 @@ for desk-scale inputs (hundreds of rows, around a dozen columns).
 Rows are deduplicated and grouped through row keys: one opaque scalar per
 row whose sort order is the rows' lexicographic order, so a 1-d np.unique on
 the keys orders and groups rows exactly as np.unique(axis=0) would, at a
-fraction of its cost. List prediction is batched per sample: the sample's
-distinct (column, label) pairs are resolved once, and each distinct
+fraction of its cost. Grouping is batched over directions: one np.unique per
+one-inclusion graph and per deletion round of the shattering search, whose
+rounds also run a batch of column subsets at once (tables past a fixed cell
+count group in several batches). List prediction is batched per sample: the
+sample's distinct (column, label) pairs are resolved once, and each distinct
 restriction of the class is oriented and checked for consistency once, for
 all the queries that share it.
 """
@@ -224,25 +227,60 @@ class OneInclusionGraph:
         return {(e.direction, e.off): i for i, e in enumerate(self.edges)}
 
 
+# The most int64 cells one stacked copy in _direction_groups may hold; a wider
+# table is grouped in several batches of directions.
+_GROUP_CELLS = 1 << 20
+
+
+def _direction_groups(table: np.ndarray, tags=None):
+    """Group the rows that agree off column i, for every direction i at once.
+
+    Copy i of the table has column i blanked and tag * n + i prefixed, so one
+    np.unique over the stacked copies' row keys groups every direction. Returns
+    ``(inverse, counts)``: ``inverse[i, v]`` is row v's group in direction i,
+    ``counts[g]`` the size of group g. Rows only group with rows of the same
+    tag (default: all one tag). Groups are numbered direction-major within each
+    batch of directions, and by the off pattern's lexicographic order within a
+    direction and tag.
+    """
+    r, n = table.shape
+    head = 0 if tags is None else np.asarray(tags, dtype=np.int64) * n
+    per_batch = max(1, _GROUP_CELLS // (r * (n + 1)))
+    inverse = np.empty((n, r), dtype=np.int64)
+    counts = []
+    n_groups = 0
+    for lo in range(0, n, per_batch):
+        dirs = np.arange(lo, min(n, lo + per_batch))
+        stack = np.empty((dirs.size, r, n + 1), dtype=np.int64)
+        stack[:, :, 0] = head + dirs[:, np.newaxis]
+        stack[:, :, 1:] = table
+        stack[np.arange(dirs.size), :, dirs + 1] = 0
+        _, inv, cnt = np.unique(_row_keys(stack.reshape(-1, n + 1)),
+                                return_inverse=True, return_counts=True)
+        inverse[dirs] = inv.reshape(dirs.size, r) + n_groups
+        counts.append(cnt)
+        n_groups += cnt.size
+    return inverse, np.concatenate(counts)
+
+
 def build_oig(fc: FiniteClass) -> OneInclusionGraph:
-    """Group rows by (direction, off-coordinate pattern); singletons included."""
-    edges = []
-    incident = [[] for _ in range(fc.size)]
+    """Group rows by (direction, off-coordinate pattern); singletons included.
+
+    Edges are direction-major, in the off patterns' lexicographic order, with
+    members in row order; vertex v's incident edges are its group per direction.
+    """
+    inverse, counts = _direction_groups(fc.table)
+    directions, members = np.divmod(np.argsort(inverse, axis=None, kind="stable"), fc.size)
+    ends = np.cumsum(counts)
+    starts = ends - counts
     rows = fc.table.tolist()
-    for i in range(fc.n):
-        _, inverse, counts = np.unique(_row_keys(np.delete(fc.table, i, axis=1)),
-                                       return_inverse=True, return_counts=True)
-        order = np.argsort(inverse, kind="stable").tolist()
-        ends = np.cumsum(counts).tolist()
-        for start, end in zip([0] + ends, ends):
-            members = tuple(order[start:end])
-            first = rows[members[0]]
-            off = tuple(first[:i] + first[i + 1:])
-            eid = len(edges)
-            edges.append(Edge(direction=i, off=off, members=members))
-            for v in members:
-                incident[v].append(eid)
-    return OneInclusionGraph(fc=fc, edges=edges, incident=tuple(tuple(ids) for ids in incident))
+    members = members.tolist()
+    edges = []
+    for i, start, end in zip(directions[starts].tolist(), starts.tolist(), ends.tolist()):
+        first = rows[members[start]]
+        edges.append(Edge(direction=i, off=tuple(first[:i] + first[i + 1:]),
+                          members=tuple(members[start:end])))
+    return OneInclusionGraph(fc=fc, edges=edges, incident=tuple(map(tuple, inverse.T.tolist())))
 
 
 def k_degree(graph: OneInclusionGraph, vertex: int, k: int) -> int:
@@ -375,19 +413,40 @@ def find_orientation(graph: OneInclusionGraph, k: int, strategy: str = "auto",
 # Shattering dimension via iterated neighbor-deficient deletion.
 
 
-def _shatter_core(rows: np.ndarray, k: int) -> int:
-    """Size of the largest sub-family where every row has >= k neighbors per direction."""
+def _shatter_core(rows: np.ndarray, k: int, tags=None) -> int:
+    """Size of the largest sub-family where every row has >= k neighbors per direction.
+
+    Each deletion round groups every direction at once. With ``tags`` (one
+    non-negative int per row) each tag's rows are a family of their own, and
+    the size is that of the lowest tag whose family stops shrinking non-empty.
+    """
     cur = rows
+    tags = np.zeros(rows.shape[0], dtype=np.int64) if tags is None else tags
     while cur.shape[0]:
-        keep = np.ones(cur.shape[0], dtype=bool)
-        for i in range(cur.shape[1]):
-            _, inverse, counts = np.unique(_row_keys(np.delete(cur, i, axis=1)),
-                                           return_inverse=True, return_counts=True)
-            keep &= counts[inverse] >= k + 1
-        if keep.all():
-            return int(cur.shape[0])
-        cur = cur[keep]
+        inverse, counts = _direction_groups(cur, tags)
+        keep = (counts[inverse] > k).all(axis=0)
+        sizes = np.bincount(tags)
+        lost = np.bincount(tags[~keep], minlength=sizes.size)
+        stable = np.flatnonzero((sizes > 0) & (lost == 0))
+        if stable.size:
+            return int(sizes[stable[0]])
+        cur, tags = cur[keep], tags[keep]
     return 0
+
+
+def _any_shattered(table: np.ndarray, subsets: list, k: int) -> bool:
+    """Whether any of the equal-size column subsets is k-shattered.
+
+    The subsets' projections are stacked with the subset id as the tag,
+    deduplicated per subset, and run through one batched deletion.
+    """
+    d = len(subsets[0])
+    tags = np.repeat(np.arange(len(subsets), dtype=np.int64), table.shape[0])
+    proj = table[:, subsets].transpose(1, 0, 2).reshape(-1, d)
+    rows = _unique_rows(np.column_stack([tags, proj]))
+    tags, rows = rows[:, 0], rows[:, 1:]
+    big = np.bincount(tags)[tags] >= (k + 1) ** d
+    return _shatter_core(rows[big], k, tags[big]) > 0
 
 
 def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
@@ -399,6 +458,9 @@ def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
     witness onto fewer columns keeps k + 1 labels per edge, so subsets of a
     shattered set are shattered: sizes are searched upward, up to the first
     one with no shattered subset, and ``budget`` caps each size's subsets.
+    A size's subsets are examined in doubling batches (1, 2, 4, ...), each
+    batch in one deletion, so a size whose first subset is shattered examines
+    only that one; batches stop growing at about _GROUP_CELLS stacked cells.
     """
     if k < 1:
         raise InvalidParams("list size k must be at least 1")
@@ -413,9 +475,13 @@ def kds_dimension(fc: FiniteClass, k: int, budget: int = 10**6) -> int:
             raise BudgetExceeded(
                 f"{n_subsets} column subsets of size {d} exceed budget {budget}"
             )
-        subs = (_unique_rows(fc.table[:, cols])
-                for cols in itertools.combinations(range(n), d))
-        if not any(sub.shape[0] >= (k + 1) ** d and _shatter_core(sub, k) for sub in subs):
+        subsets = itertools.combinations(range(n), d)
+        width, widest = 1, max(1, _GROUP_CELLS // (size * d * (d + 1)))
+        while batch := list(itertools.islice(subsets, width)):
+            if _any_shattered(fc.table, batch, k):
+                break
+            width = min(2 * width, widest)
+        else:
             return d - 1
     return d_max
 

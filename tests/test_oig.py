@@ -178,6 +178,13 @@ def test_upward_dimension_matches_downward_reference(catalog, k):
         table = gen.integers(0, labels, size=(int(gen.integers(2, 41)), int(gen.integers(1, 6))))
         classes.append(build_class(np.unique(table, axis=0).tolist(),
                                    alphabet=tuple(range(labels))))
+    # 3 x 3 grids on the last two columns: the only shattered pair, and the last
+    # in combinations order. Of 6 columns' 15 pairs it ends the full batch of 8
+    # (1 + 2 + 4 + 8); of 7 columns' 21 it ends the partial last batch of 6.
+    for n in (6, 7):
+        classes.append(build_class([(0,) * (n - 2) + cell
+                                    for cell in itertools.product((0, 1, 2), repeat=2)],
+                                   alphabet=(0, 1, 2)))
     dims = [kds_dimension(fc, k) for fc in classes]
     assert dims == [_dimension_downward(fc, k) for fc in classes]
     assert max(dims) >= 2
@@ -203,6 +210,28 @@ def test_dimension_search_stops_one_size_past_the_answer(monkeypatch):
     # one shattered single column, then all 66 pairs; a downward search from
     # d_max = 5 examines 792 + 495 + 220 + 66 + 1 = 1,574
     assert examined <= 67
+
+
+def test_direction_groups_once_per_graph_and_deletion_round(monkeypatch, catalog):
+    calls = 0
+    direction_groups = oig._direction_groups
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return direction_groups(*args)
+
+    monkeypatch.setattr(oig, "_direction_groups", counting)
+    build_oig(catalog["grid9"])
+    assert calls == 1
+    # the listpac-oig benchmark shape: one deletion for the first single
+    # column, then the 66 pairs in batches of 1, 2, 4, 8, 16, 32 and 3, each
+    # emptied in two deletion rounds
+    rows = [[0] * 12] + [[label if c == col else 0 for c in range(12)]
+                         for col in range(12) for label in (1, 2, 3)]
+    calls = 0
+    assert kds_dimension(build_class(rows, alphabet=(0, 1, 2, 3)), 1) == 1
+    assert calls <= 15
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN))
@@ -813,7 +842,11 @@ def _shatter_core_reference(rows, k):
 
 def test_row_keys_match_unique_rows_reference():
     gen = np.random.default_rng(8)
-    for table in _row_key_tables():
+    tables = _row_key_tables()
+    # some class's stacked copies outgrow the cap, so its directions group in batches
+    assert any(np.unique(t, axis=0).shape[0] * t.shape[1] * (t.shape[1] + 1) > oig._GROUP_CELLS
+               for t in tables)
+    for table in tables:
         unique = np.unique(table, axis=0)
         columns, alphabet = tuple(range(table.shape[1])), _alphabet(table)
         if unique.shape[0] < table.shape[0]:

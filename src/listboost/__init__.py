@@ -74,7 +74,6 @@ from .hedge import (
 )
 from .hint import HintResult, build_initial_hint, default_hint_rounds, replay_initial_hint
 from .listlearn import (
-    ConversionParams,
     ErmListLearner,
     ListBoostResult,
     ListDerivedWeakLearner,

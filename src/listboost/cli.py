@@ -3,6 +3,9 @@
 Every subcommand prints JSON (one object per line) so output can feed the
 same tooling as the experiment reports. Exit code 0 means every check the
 invocation asked for passed; failures and surfaced pipeline errors exit 1.
+boost, audit, list-boost and oig --listpac build a config dict from their
+flags and run it through the same harness runner as the experiment pipeline
+of that name; hint takes its learner from the same factory.
 """
 
 from __future__ import annotations
@@ -20,24 +23,21 @@ from .compression import (
 from .core import RandomStream, as_instance_key
 from .errors import ListboostError
 from .harness import (
+    _bound_or_none,
     default_budget,
     gen_data,
     load_dataset_jsonl,
+    run_boost,
     run_experiment,
+    run_list_boost,
+    run_oig_listpac,
     save_dataset_jsonl,
+    spec_from_config,
     write_report,
     write_report_csv,
 )
 from .hint import build_initial_hint, default_hint_rounds
-from .recursive import BoostConfig, adaptive_gamma, recursive_boost
-from .weak_learn import (
-    BrgAuditLog,
-    CalibratedBrgOracle,
-    ErmFiniteLearner,
-    StumpLearner,
-    TooWeakLearner,
-    WeakLearnerSpec,
-)
+from .weak_learn import BrgAuditLog
 
 
 def _emit(obj):
@@ -55,20 +55,6 @@ def _load_class(path):
     from .oig import load_finite_class
 
     return load_finite_class(path)
-
-
-def _make_learner(args, fc):
-    if args.learner == "erm":
-        if fc is None:
-            raise SystemExit("the erm learner needs --class-file")
-        return ErmFiniteLearner(fc)
-    if args.learner == "oracle":
-        return CalibratedBrgOracle(args.gamma)
-    if args.learner == "tooweak":
-        return TooWeakLearner()
-    if args.learner == "stump":
-        return StumpLearner()
-    raise SystemExit(f"unknown learner {args.learner!r}")
 
 
 def _add_learner_flags(sub):
@@ -104,18 +90,15 @@ def _cmd_gen_data(args) -> int:
     return 0
 
 
+def _config(args, keys) -> dict:
+    return {key: getattr(args, key) for key in keys}
+
+
 def _run_boost(args, audit_log: BrgAuditLog):
     dataset = load_dataset_jsonl(args.data)
     fc = _load_class(args.class_file) if args.class_file else None
-    learner = _make_learner(args, fc)
-    spec = WeakLearnerSpec(learner, args.m0 if args.m0 else dataset.m)
-    if args.adaptive:
-        return dataset, adaptive_gamma(dataset, spec, args.gamma, seed=args.seed,
-                                       delta=args.delta, audit_log=audit_log).result
-    config = BoostConfig.from_defaults(dataset.m, args.gamma, m0=args.m0,
-                                       seed=args.seed, delta=args.delta,
-                                       T=args.T, p=args.p, eta=args.eta)
-    return dataset, recursive_boost(dataset, spec, config, audit_log=audit_log)
+    cfg = _config(args, ("learner", "gamma", "m0", "delta", "adaptive", "T", "p", "eta"))
+    return dataset, run_boost(cfg, args.seed, dataset, fc, audit_log)
 
 
 def _cmd_boost(args) -> int:
@@ -126,16 +109,12 @@ def _cmd_boost(args) -> int:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
     r = res.compression_size
-    try:
-        eps = generalization_bound(r, dataset.m, args.delta)
-    except ListboostError:
-        eps = None
     _emit({
         "consistent": res.consistent_on_train,
         "audit_pass_rate": audit_log.pass_rate,
         "oracle_calls": res.oracle_calls,
         "r": r,
-        "epsilon": eps,
+        "epsilon": _bound_or_none(r, dataset.m, args.delta),
         "phases": res.chain.realized_phases,
         "denominators": res.record.meta["denominators"],
         "hint_rounds": res.hint_result.rounds_run,
@@ -148,10 +127,9 @@ def _cmd_boost(args) -> int:
 def _cmd_hint(args) -> int:
     dataset = load_dataset_jsonl(args.data)
     fc = _load_class(args.class_file) if args.class_file else None
-    learner = _make_learner(args, fc)
-    spec = WeakLearnerSpec(learner, args.m0 if args.m0 else dataset.m)
     audit_log = BrgAuditLog()
     try:
+        spec = spec_from_config(_config(args, ("learner", "gamma", "m0")), dataset, fc)
         p = args.p if args.p else default_hint_rounds(dataset.m, args.gamma)
         res = build_initial_hint(dataset, spec, p, RandomStream(args.seed, ("hint",)),
                                  gamma=args.gamma, audit_log=audit_log)
@@ -185,15 +163,14 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_list_boost(args) -> int:
-    from .listlearn import ErmListLearner, evaluate_list_error, list_boost
+    from .listlearn import evaluate_list_error
 
     dataset = load_dataset_jsonl(args.data)
     fc = _load_class(args.class_file)
     audit_log = BrgAuditLog()
     try:
-        res = list_boost(dataset, ErmListLearner(fc, args.k0), args.k0, args.eps0,
-                         delta=args.delta, seed=args.seed, m0=args.m0, T=args.T,
-                         audit_log=audit_log)
+        res = run_list_boost(_config(args, ("k0", "eps0", "delta", "m0", "T")),
+                             args.seed, dataset, fc, audit_log)
     except ListboostError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 1
@@ -211,16 +188,10 @@ def _cmd_list_boost(args) -> int:
 
 
 def _cmd_oig(args) -> int:
-    from .oig import (
-        build_oig,
-        find_orientation,
-        k_list_pac_learn,
-        kds_dimension,
-        one_inclusion_list_predict,
-    )
+    from .oig import build_oig, find_orientation, kds_dimension, one_inclusion_list_predict
 
     fc = _load_class(args.class_file)
-    budget = args.budget if args.budget else default_budget("orient")
+    budget = default_budget("orient") if args.budget is None else args.budget
     if args.dim is not None:
         d = kds_dimension(fc, args.dim, budget=budget)
         _emit({"k": args.dim, "dimension": d, "rows": fc.size, "columns": fc.n})
@@ -243,11 +214,10 @@ def _cmd_oig(args) -> int:
         return 0
     if args.listpac is not None:
         dataset = load_dataset_jsonl(args.data)
+        cfg = {"k": args.listpac, "d": args.d, "strategy": args.strategy,
+               "orient_budget": budget}
         try:
-            res = k_list_pac_learn(fc, dataset, args.listpac, seed=args.seed,
-                                   d=args.d, strategy=args.strategy,
-                                   orient_budget=budget,
-                                   search_budget=default_budget("search"))
+            res = run_oig_listpac(cfg, args.seed, dataset, fc)
         except ListboostError as exc:
             _emit({"error": type(exc).__name__, "message": str(exc)})
             return 1

@@ -220,6 +220,12 @@ _ROW_FIELDS = (
 _VOLATILE_FIELDS = ("wall_time_s",)
 
 
+def _opt(cfg: dict, key: str, default):
+    """cfg[key], or the default when the key is absent or None."""
+    value = cfg.get(key)
+    return default if value is None else value
+
+
 def _learner_from_config(cfg, fc, gamma: float):
     if isinstance(cfg, str):
         cfg = {"kind": cfg}
@@ -237,6 +243,13 @@ def _learner_from_config(cfg, fc, gamma: float):
     if kind == "constant":
         return ConstantLearner(int(cfg.get("label", 0)))
     raise InvalidParams(f"unknown learner kind {kind!r}")
+
+
+def spec_from_config(cfg: dict, dataset: Dataset, fc, learner="erm") -> WeakLearnerSpec:
+    """The weak learner named by cfg["learner"] (default: learner) at subsample size m0."""
+    gamma = float(_opt(cfg, "gamma", 0.1))
+    return WeakLearnerSpec(_learner_from_config(_opt(cfg, "learner", learner), fc, gamma),
+                           int(_opt(cfg, "m0", dataset.m)))
 
 
 def _heldout_set(gen_res: GenResult, cfg: dict, seed: int):
@@ -283,99 +296,92 @@ def _bound_or_none(r: int, m: int, delta: float):
         return None
 
 
-def _run_boost_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
-    ds = gen_res.dataset
-    gamma = float(cfg.get("gamma", 0.1))
-    learner = _learner_from_config(cfg.get("learner", {}), gen_res.finite_class, gamma)
-    spec = WeakLearnerSpec(learner, int(cfg.get("m0", ds.m)))
-    audit_log = BrgAuditLog()
-    delta = float(cfg.get("delta", 0.05))
+# One runner per pipeline, shared by run_experiment and the CLI. Each takes
+# a config dict (None means "not set" for every optional key), a seed, the
+# data, the finite class (None if there is none) and an audit log.
+
+
+def run_boost(cfg: dict, seed: int, dataset: Dataset, fc, audit_log: BrgAuditLog):
+    """Boost once from the defaults, or halve gamma until a run survives ("adaptive")."""
+    spec = spec_from_config(cfg, dataset, fc)
+    gamma = float(_opt(cfg, "gamma", 0.1))
+    delta = float(_opt(cfg, "delta", 0.05))
     if cfg.get("adaptive"):
-        res = adaptive_gamma(ds, spec, gamma, seed=seed, delta=delta,
-                             audit_log=audit_log).result
-    else:
-        config = BoostConfig.from_defaults(
-            ds.m, gamma, m0=cfg.get("m0"), seed=seed, delta=delta,
-            T=cfg.get("T"), p=cfg.get("p"), eta=cfg.get("eta"))
-        res = recursive_boost(ds, spec, config, audit_log=audit_log)
-    r = res.compression_size
-    pass_rate = audit_log.pass_rate
-    row = {
-        "consistent": res.consistent_on_train if pass_rate == 1.0 else None,
-        "heldout_error": _safe_miss_rate(res.predict, _heldout_set(
-            gen_res, cfg.get("heldout", {}), seed)),
-        "true_error": _true_error(res.predict, gen_res),
+        return adaptive_gamma(dataset, spec, gamma, seed=seed, delta=delta,
+                              audit_log=audit_log).result
+    config = BoostConfig.from_defaults(
+        dataset.m, gamma, m0=cfg.get("m0"), seed=seed, delta=delta,
+        T=cfg.get("T"), p=cfg.get("p"), eta=cfg.get("eta"))
+    return recursive_boost(dataset, spec, config, audit_log=audit_log)
+
+
+def run_list_boost(cfg: dict, seed: int, dataset: Dataset, fc, audit_log: BrgAuditLog):
+    """Shrink the class's k0-list ERM learner to lists of size floor(k0/(1-2 eps0))."""
+    from .listlearn import ErmListLearner, list_boost
+
+    if fc is None:
+        raise InvalidParams("list-boost needs a planted or loaded class")
+    k0 = int(_opt(cfg, "k0", 2))
+    return list_boost(dataset, ErmListLearner(fc, k0), k0, float(_opt(cfg, "eps0", 0.0)),
+                      delta=float(_opt(cfg, "delta", 0.05)), seed=seed, m0=cfg.get("m0"),
+                      T=cfg.get("T"), audit_log=audit_log)
+
+
+def run_oig_listpac(cfg: dict, seed: int, dataset: Dataset, fc, audit_log=None):
+    """Learn a consistent k-list from the class; nothing is audited."""
+    if fc is None:
+        raise InvalidParams("oig-listpac needs a planted or loaded class")
+    return k_list_pac_learn(
+        fc, dataset, int(_opt(cfg, "k", 1)), seed=seed, d=cfg.get("d"),
+        strategy=_opt(cfg, "strategy", "auto"),
+        orient_budget=int(_opt(cfg, "orient_budget", default_budget("orient"))),
+        search_budget=int(_opt(cfg, "search_budget", default_budget("search"))))
+
+
+def _row(cfg: dict, seed: int, gen_res: GenResult, predict, consistent, r: int,
+         oracle_calls, audit_log) -> dict:
+    """The row fields every pipeline but plurality reports; a failed audit voids consistency."""
+    pass_rate = None if audit_log is None else audit_log.pass_rate
+    if pass_rate not in (None, 1.0):
+        consistent = None
+    return {
+        "consistent": consistent,
+        "heldout_error": _safe_miss_rate(predict, _heldout_set(
+            gen_res, _opt(cfg, "heldout", {}), seed)),
+        "true_error": _true_error(predict, gen_res),
         "r": r,
-        "epsilon": _bound_or_none(r, ds.m, delta),
+        "epsilon": _bound_or_none(r, gen_res.dataset.m, float(_opt(cfg, "delta", 0.05))),
         "audit_pass_rate": pass_rate,
-        "oracle_calls": res.oracle_calls,
+        "oracle_calls": oracle_calls,
+        "passed": bool(consistent),
     }
-    row["passed"] = bool(row["consistent"]) and pass_rate == 1.0
-    return row
+
+
+def _run_boost_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
+    audit_log = BrgAuditLog()
+    res = run_boost(cfg, seed, gen_res.dataset, gen_res.finite_class, audit_log)
+    return _row(cfg, seed, gen_res, res.predict, res.consistent_on_train,
+                res.compression_size, res.oracle_calls, audit_log)
 
 
 def _run_list_boost_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
-    from .listlearn import ErmListLearner, list_boost
-
-    ds = gen_res.dataset
-    if gen_res.finite_class is None:
-        raise InvalidParams("list-boost needs a planted or loaded class")
-    k0 = int(cfg.get("k0", 2))
-    eps0 = float(cfg.get("eps0", 0.0))
-    delta = float(cfg.get("delta", 0.05))
     audit_log = BrgAuditLog()
-    res = list_boost(ds, ErmListLearner(gen_res.finite_class, k0), k0, eps0,
-                     delta=delta, seed=seed, m0=cfg.get("m0"), T=cfg.get("T"),
-                     audit_log=audit_log)
-    r = compression_size(res.inner.record)
-    pass_rate = audit_log.pass_rate
-    row = {
-        "consistent": res.inner.consistent_on_train if pass_rate == 1.0 else None,
-        "heldout_error": _safe_miss_rate(res.mu, _heldout_set(
-            gen_res, cfg.get("heldout", {}), seed)),
-        "true_error": _true_error(res.mu, gen_res),
-        "r": r,
-        "epsilon": _bound_or_none(r, ds.m, delta),
-        "audit_pass_rate": pass_rate,
-        "oracle_calls": res.inner.T,
-    }
-    row["passed"] = bool(row["consistent"]) and pass_rate == 1.0
-    return row
+    res = run_list_boost(cfg, seed, gen_res.dataset, gen_res.finite_class, audit_log)
+    return _row(cfg, seed, gen_res, res.mu, res.inner.consistent_on_train,
+                compression_size(res.inner.record), res.inner.T, audit_log)
 
 
 def _run_listpac_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
-    ds = gen_res.dataset
-    if gen_res.finite_class is None:
-        raise InvalidParams("oig-listpac needs a planted or loaded class")
-    delta = float(cfg.get("delta", 0.05))
-    res = k_list_pac_learn(
-        gen_res.finite_class, ds, int(cfg.get("k", 1)), seed=seed,
-        d=cfg.get("d"), strategy=cfg.get("strategy", "auto"),
-        orient_budget=int(cfg.get("orient_budget", default_budget("orient"))),
-        search_budget=int(cfg.get("search_budget", default_budget("search"))))
-    r = res.compression_size
-    row = {
-        "consistent": res.consistent_on_train,
-        "heldout_error": _safe_miss_rate(res.mu, _heldout_set(
-            gen_res, cfg.get("heldout", {}), seed)),
-        "true_error": _true_error(res.mu, gen_res),
-        "r": r,
-        "epsilon": _bound_or_none(r, ds.m, delta),
-        "audit_pass_rate": None,
-        "oracle_calls": None,
-    }
-    row["passed"] = bool(row["consistent"])
-    return row
+    res = run_oig_listpac(cfg, seed, gen_res.dataset, gen_res.finite_class)
+    return _row(cfg, seed, gen_res, res.mu, res.consistent_on_train,
+                res.compression_size, None, None)
 
 
 def _run_plurality_seed(cfg: dict, seed: int, gen_res: GenResult) -> dict:
     """Plain Hedge diagnostic: plurality-vote accuracy and min-label elimination."""
     ds = gen_res.dataset
-    gamma = float(cfg.get("gamma", 0.1))
-    learner = _learner_from_config(cfg.get("learner", {"kind": "tooweak"}),
-                                   gen_res.finite_class, gamma)
-    spec = WeakLearnerSpec(learner, int(cfg.get("m0", ds.m)))
-    T = int(cfg.get("T", 100))
+    spec = spec_from_config(cfg, ds, gen_res.finite_class, learner="tooweak")
+    T = int(_opt(cfg, "T", 100))
     eta = float(cfg.get("eta") or default_learning_rate(ds.m, T))
     mu = ListFunction.universal(ds.alphabet)
     result = run_hedge(ds, mu, spec, T, eta, RandomStream(seed, ("plurality",)))

@@ -16,7 +16,7 @@ with the fixed output size floor(k0 / (1 - 2*eps0)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -59,33 +59,6 @@ def conversion_budgets(k: int, epsilon: float, delta: float) -> tuple:
     q = math.ceil(2.0 * k * math.log(2.0 / delta))
     r_val = math.ceil(10.0 * math.log(2.0 * q / delta) / (epsilon / k)**2)
     return q, r_val
-
-
-@dataclass(frozen=True)
-class ConversionParams:
-    """Shared arithmetic for the weak <-> list conversions."""
-
-    gamma: float
-    epsilon: float
-    delta: float
-    k: int = field(init=False)
-    sigma: float = field(init=False)
-    eps_prime: float = field(init=False)
-    q: int = field(init=False)
-    r_val: int = field(init=False)
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.5):
-            raise InvalidParams(f"epsilon must be in (0, 1/2), got {self.epsilon!r}")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParams(f"delta must be in (0, 1), got {self.delta!r}")
-        k = smallest_k(self.gamma)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "sigma", self.gamma - 1.0 / k)
-        object.__setattr__(self, "eps_prime", self.epsilon / k)
-        q, r_val = conversion_budgets(k, self.epsilon, self.delta)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "r_val", r_val)
 
 
 def _vote_entry(counts, k: int, T: int) -> tuple:

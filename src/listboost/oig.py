@@ -308,26 +308,25 @@ def _out_degrees(graph: OneInclusionGraph, sigma) -> np.ndarray:
 
 
 def _greedy_orientation(graph: OneInclusionGraph, k: int) -> Orientation:
-    """Peel the minimum-degree vertex, admitting it into edges with spare capacity."""
-    n_v = graph.n_vertices
-    alive = [True] * n_v
+    """Peel the minimum-degree vertex, admitting it into edges with spare capacity.
+
+    deg[v] counts v's incident edges that still have more than k alive
+    members; a peeled vertex's entry becomes infinite, so the first minimum
+    is the least-degree alive vertex, ties to the lowest.
+    """
     alive_sizes = [len(e.members) for e in graph.edges]
+    deg = [sum(1 for eid in ids if alive_sizes[eid] > k) for ids in graph.incident]
     chosen = [[] for _ in graph.edges]
-    remaining = n_v
-    while remaining:
-        best_v, best_deg = -1, None
-        for v in range(n_v):
-            if not alive[v]:
-                continue
-            deg = sum(1 for eid in graph.incident[v] if alive_sizes[eid] > k)
-            if best_deg is None or deg < best_deg:
-                best_v, best_deg = v, deg
-        for eid in graph.incident[best_v]:
+    for _ in range(graph.n_vertices):
+        v = deg.index(min(deg))
+        deg[v] = math.inf
+        for eid in graph.incident[v]:
             if len(chosen[eid]) < k:
-                chosen[eid].append(best_v)
+                chosen[eid].append(v)
             alive_sizes[eid] -= 1
-        alive[best_v] = False
-        remaining -= 1
+            if alive_sizes[eid] == k:
+                for u in graph.edges[eid].members:
+                    deg[u] -= 1
     sigma = tuple(tuple(sorted(c)) for c in chosen)
     return Orientation(k=k, sigma=sigma,
                        max_out_degree=int(_out_degrees(graph, sigma).max(initial=0)),

@@ -1,6 +1,8 @@
 """End-to-end runs of every CLI subcommand through main()."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +209,84 @@ def test_experiment_failing_config_exits_nonzero(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     rc = main(["experiment", "--config", str(cfg_path)])
     assert rc == 1
+
+
+def _experiment_row(tmp_path, capsys, cfg):
+    cfg_path = tmp_path / "parity.json"
+    cfg_path.write_text(json.dumps(cfg))
+    rc = main(["experiment", "--config", str(cfg_path)])
+    rows = _lines(capsys)
+    assert len(rows) == 2 and rows[-1]["aggregate"]["n_seeds"] == 1
+    return rc, rows[0]
+
+
+@pytest.mark.parametrize("pipeline", ["boost", "list-boost", "oig-listpac"])
+def test_cli_and_experiment_run_one_path(planted_files, tmp_path, capsys, pipeline):
+    data, cls = planted_files
+    files = ["--data", str(data), "--class-file", str(cls), "--seed", "3"]
+    dataset = {"path": str(data), "class_path": str(cls)}
+    rec = tmp_path / "rec.json"
+    if pipeline == "boost":
+        argv = ["boost", *files, "--gamma", "0.3", "--record", str(rec)]
+        cfg = {"gamma": 0.3, "learner": "erm"}
+    elif pipeline == "list-boost":
+        argv = ["list-boost", *files, "--k0", "2", "--eps0", "0.25", "--T", "40",
+                "--delta", "0.3", "--record", str(rec)]
+        cfg = {"k0": 2, "eps0": 0.25, "T": 40, "delta": 0.3}
+    else:
+        argv = ["oig", *files, "--listpac", "2", "--record", str(rec)]
+        cfg = {"k": 2}
+    cli_rc = main(argv)
+    cli_row = _lines(capsys)[-1]
+    if pipeline == "list-boost":
+        # list-boost prints no r; compress-bound reads it off the record
+        main(["compress-bound", "--record", str(rec), "--m", "40"])
+        cli_row["r"] = _lines(capsys)[-1]["r"]
+        cli_row["oracle_calls"] = cli_row.pop("T")
+    exp_rc, row = _experiment_row(
+        tmp_path, capsys, {"pipeline": pipeline, "seeds": [3], "dataset": dataset, **cfg})
+    assert cli_rc == exp_rc == 0
+    assert cli_row["consistent"] is row["consistent"] is True
+    assert cli_row["r"] == row["r"]
+    assert cli_row.get("oracle_calls") == row["oracle_calls"]
+
+
+def test_zero_orientation_budget_is_a_budget_of_zero(planted_files, tmp_path, capsys):
+    # --budget 0 once fell back to the default budget and ran to exit 0.
+    data, cls = planted_files
+    rc = main(["oig", "--class-file", str(cls), "--listpac", "2", "--data", str(data),
+               "--budget", "0"])
+    assert rc == 1
+    assert _lines(capsys)[-1]["error"] == "BudgetExceeded"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "pipeline": "oig-listpac", "seeds": 1, "k": 2, "orient_budget": 0,
+        "dataset": {"path": str(data), "class_path": str(cls)}}))
+    with pytest.raises(RuntimeError, match="BudgetExceeded"):
+        main(["experiment", "--config", str(cfg_path)])
+
+
+@pytest.mark.parametrize("command", ["boost", "audit", "hint"])
+def test_erm_without_a_class_is_an_error_row(planted_files, capsys, command):
+    data, _ = planted_files
+    capsys.readouterr()
+    rc = main([command, "--data", str(data), "--learner", "erm"])
+    assert rc == 1
+    rows = _lines(capsys)
+    assert len(rows) == 1 and rows[0]["error"] == "InvalidParams"
+
+
+def _readme_cli_commands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI")[1].split("```sh\n")[1].split("```")[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("listboost ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):
+    # experiment is left out: test_readme_example_config_runs runs its config
+    commands = [argv for argv in _readme_cli_commands() if argv[0] != "experiment"]
+    assert len(commands) == 11
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv

@@ -286,3 +286,15 @@ def test_seed_list_forms():
     cfg["seeds"] = [9, 4]
     report = run_experiment(cfg)
     assert [r["seed"] for r in report.rows] == [4, 9]
+
+
+@pytest.mark.parametrize("cfg", [dict(BOOST_CFG, seeds=1),
+                                 {"pipeline": "plurality", "seeds": 1, "T": 40,
+                                  "dataset": {"kind": "counterexample"}}],
+                         ids=["boost", "plurality"])
+def test_null_m0_runs_as_if_absent(cfg):
+    # "m0": null once died with a TypeError from int(None).
+    def rows(report):
+        return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in report.rows]
+
+    assert rows(run_experiment({**cfg, "m0": None})) == rows(run_experiment(cfg))

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from listboost import (
-    ConversionParams,
     ErmFiniteLearner,
     ErmListLearner,
     InsufficientData,
@@ -29,6 +28,7 @@ from listboost import (
     weak_to_list,
 )
 from listboost.core import make_dataset
+from listboost.listlearn import conversion_budgets
 from tests.conftest import bench_workloads, build_class, planted_dataset
 
 
@@ -55,25 +55,22 @@ def test_smallest_k_rejects_bad_gamma():
 
 
 def test_conversion_params_frozen():
-    # All four derived quantities recomputed by hand for gamma=0.3,
-    # eps=0.05, delta=0.02: k=4, sigma=0.3-1/4, q=ceil(8 ln 100),
-    # r_val=ceil(10 ln(2q/delta) / (eps/k)^2).
-    p = ConversionParams(gamma=0.3, epsilon=0.05, delta=0.02)
-    assert p.k == 4
-    assert p.sigma == pytest.approx(0.05)
-    assert p.eps_prime == pytest.approx(0.0125)
-    assert p.q == 37
-    assert p.r_val == 525830
+    # Recomputed by hand for gamma=0.3, eps=0.05, delta=0.02: k=4,
+    # q=ceil(8 ln 100), r_val=ceil(10 ln(2q/delta) / (eps/k)^2).
+    assert smallest_k(0.3) == 4
+    assert conversion_budgets(4, 0.05, 0.02) == (37, 525830)
 
-    p2 = ConversionParams(gamma=0.4, epsilon=0.1, delta=0.02)
-    assert p2.k == 3 and p2.q == 28
+    assert smallest_k(0.4) == 3
+    assert conversion_budgets(3, 0.1, 0.02)[0] == 28
 
 
 def test_conversion_params_validation():
-    with pytest.raises(Exception):
-        ConversionParams(gamma=0.3, epsilon=0.5, delta=0.1)
-    with pytest.raises(Exception):
-        ConversionParams(gamma=0.3, epsilon=0.1, delta=1.0)
+    fc = build_class([(0, 1, 0), (1, 1, 0)], alphabet=(0, 1))
+    ds = planted_dataset(fc, m=20, seed=2)
+    for epsilon, delta in ((0.5, 0.1), (0.1, 1.0)):
+        with pytest.raises(InvalidParams):
+            list_to_weak(ds, ErmListLearner(fc, k=1), k=1, epsilon=epsilon, delta=delta,
+                         rng=RandomStream(0, ("l2w",)))
 
 
 @pytest.fixture
@@ -175,8 +172,7 @@ def test_list_to_weak_frozen_counts():
     # The ERM list learner recovers the planted row, so the winner is exact.
     assert out.val_accuracies[out.chosen] == 1.0
 
-    out2_params = ConversionParams(gamma=0.55, epsilon=0.2, delta=0.3)
-    assert out2_params.k == 2 and out2_params.q == 8 and out2_params.r_val == 3977
+    assert conversion_budgets(2, 0.2, 0.3) == (8, 3977)
 
 
 def test_list_to_weak_needs_enough_data():

@@ -134,6 +134,39 @@ def test_greedy_never_beats_exhaustive(catalog):
         assert not greedy.optimal or greedy.max_out_degree == 0
 
 
+def _greedy_by_rescans(graph, k):
+    """Reference greedy: recount every alive vertex's degree before each peel."""
+    alive = [True] * graph.n_vertices
+    alive_sizes = [len(e.members) for e in graph.edges]
+    chosen = [[] for _ in graph.edges]
+    for _ in range(graph.n_vertices):
+        best_v, best_deg = -1, None
+        for v in range(graph.n_vertices):
+            if not alive[v]:
+                continue
+            deg = sum(1 for eid in graph.incident[v] if alive_sizes[eid] > k)
+            if best_deg is None or deg < best_deg:
+                best_v, best_deg = v, deg
+        for eid in graph.incident[best_v]:
+            if len(chosen[eid]) < k:
+                chosen[eid].append(best_v)
+            alive_sizes[eid] -= 1
+        alive[best_v] = False
+    sigma = tuple(tuple(sorted(c)) for c in chosen)
+    return sigma, int(oig._out_degrees(graph, sigma).max(initial=0))
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_greedy_matches_the_rescanning_reference(catalog, monkeypatch, k):
+    workloads = bench_workloads(monkeypatch)
+    bench_fc = workloads.build_listpac_oig(0, 0, workloads.SIZES["listpac-oig"]).finite_class
+    assert bench_fc.size == 37
+    for fc in [*catalog.values(), bench_fc]:
+        graph = build_oig(fc)
+        greedy = find_orientation(graph, k, strategy="greedy")
+        assert (greedy.sigma, greedy.max_out_degree) == _greedy_by_rescans(graph, k)
+
+
 def test_auto_prefers_exhaustive_within_budget(catalog):
     graph = build_oig(catalog["cube2"])
     auto = find_orientation(graph, 1, strategy="auto")

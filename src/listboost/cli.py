@@ -190,46 +190,45 @@ def _cmd_list_boost(args) -> int:
 def _cmd_oig(args) -> int:
     from .oig import build_oig, find_orientation, kds_dimension, one_inclusion_list_predict
 
+    if all(mode is None for mode in (args.dim, args.orient, args.predict, args.listpac)):
+        raise SystemExit("oig needs one of --dim, --orient, --predict, --listpac")
     fc = _load_class(args.class_file)
     budget = default_budget("orient") if args.budget is None else args.budget
-    if args.dim is not None:
-        d = kds_dimension(fc, args.dim, budget=budget)
-        _emit({"k": args.dim, "dimension": d, "rows": fc.size, "columns": fc.n})
-        return 0
-    if args.orient is not None:
-        graph = build_oig(fc)
-        orientation = find_orientation(graph, args.orient, strategy=args.strategy,
-                                       budget=budget)
-        _emit({"k": args.orient, "edges": len(graph.edges),
-               "max_out_degree": orientation.max_out_degree,
-               "strategy": orientation.strategy, "optimal": orientation.optimal})
-        return 0
-    if args.predict is not None:
+    try:
+        if args.dim is not None:
+            d = kds_dimension(fc, args.dim, budget=budget)
+            _emit({"k": args.dim, "dimension": d, "rows": fc.size, "columns": fc.n})
+            return 0
+        if args.orient is not None:
+            graph = build_oig(fc)
+            orientation = find_orientation(graph, args.orient, strategy=args.strategy,
+                                           budget=budget)
+            _emit({"k": args.orient, "edges": len(graph.edges),
+                   "max_out_degree": orientation.max_out_degree,
+                   "strategy": orientation.strategy, "optimal": orientation.optimal})
+            return 0
         dataset = load_dataset_jsonl(args.data)
-        pred = one_inclusion_list_predict(fc, dataset.examples,
-                                          _parse_key(args.query), args.predict,
-                                          strategy=args.strategy, budget=budget)
-        _emit({"query": args.query, "labels": list(pred.labels),
-               "edge_size": pred.edge_size, "strategy": pred.strategy})
-        return 0
-    if args.listpac is not None:
-        dataset = load_dataset_jsonl(args.data)
+        if args.predict is not None:
+            pred = one_inclusion_list_predict(fc, dataset.examples,
+                                              _parse_key(args.query), args.predict,
+                                              strategy=args.strategy, budget=budget)
+            _emit({"query": args.query, "labels": list(pred.labels),
+                   "edge_size": pred.edge_size, "strategy": pred.strategy})
+            return 0
         cfg = {"k": args.listpac, "d": args.d, "strategy": args.strategy,
                "orient_budget": budget}
-        try:
-            res = run_oig_listpac(cfg, args.seed, dataset, fc)
-        except ListboostError as exc:
-            _emit({"error": type(exc).__name__, "message": str(exc)})
-            return 1
-        _emit({
-            "k": args.listpac, "d": res.d, "p": res.p, "q": res.q,
-            "rounds_run": res.rounds_run, "early_stopped": res.early_stopped,
-            "consistent": res.consistent_on_train, "r": res.compression_size,
-        })
-        if args.record:
-            res.record.dump(args.record)
-        return 0 if res.consistent_on_train else 1
-    raise SystemExit("oig needs one of --dim, --orient, --predict, --listpac")
+        res = run_oig_listpac(cfg, args.seed, dataset, fc)
+    except ListboostError as exc:
+        _emit({"error": type(exc).__name__, "message": str(exc)})
+        return 1
+    _emit({
+        "k": args.listpac, "d": res.d, "p": res.p, "q": res.q,
+        "rounds_run": res.rounds_run, "early_stopped": res.early_stopped,
+        "consistent": res.consistent_on_train, "r": res.compression_size,
+    })
+    if args.record:
+        res.record.dump(args.record)
+    return 0 if res.consistent_on_train else 1
 
 
 def _cmd_compress_bound(args) -> int:

@@ -28,8 +28,8 @@ from .core import (
     make_dataset,
 )
 from .errors import (
-    BoostFailure,
     InvalidParams,
+    ListboostError,
     ListLookupError,
     RTooLarge,
     UnknownInstance,
@@ -452,7 +452,7 @@ def _seed_row(cfg: dict, seed: int) -> dict:
     start = time.perf_counter()
     try:
         row.update(runner(cfg, seed, gen_res))
-    except BoostFailure as exc:
+    except ListboostError as exc:
         row["error"] = type(exc).__name__
         row["message"] = str(exc)
     except Exception as exc:

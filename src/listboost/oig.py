@@ -14,8 +14,9 @@ one-inclusion graph and per deletion round of the shattering search, whose
 rounds also run a batch of column subsets at once (tables past a fixed cell
 count group in several batches). List prediction is batched per sample: the
 sample's distinct (column, label) pairs are resolved once, and each distinct
-restriction of the class is oriented and checked for consistency once, for
-all the queries that share it.
+restriction of the class is checked for consistency once, for all the
+queries that share it. Orientations are memoized by the restricted table's
+content, so each distinct table is oriented once.
 """
 
 from __future__ import annotations
@@ -495,17 +496,34 @@ _ORIENT_CACHE_CAP = 20000
 
 def _oriented_restriction(fc: FiniteClass, col_ids: tuple, k: int, strategy: str,
                           budget: int):
+    """``(sub, graph, orientation)`` for ``fc`` restricted to ``col_ids``.
+
+    ``sub`` is the restricted class, its columns keyed by position in
+    ``col_ids``; ``graph`` is its one-inclusion graph and ``orientation`` the
+    graph's k-list orientation. A graph and its orientation are functions of
+    the table alone, and equal restricted tables come out of _unique_rows in
+    the same lexicographic row order, so one entry per distinct table (and
+    declared alphabet) serves every restriction that yields it, from any
+    columns of any class. The memo is looked up by the restriction's columns
+    first and by the table's content on a miss; only a content miss
+    validates, builds and orients. A raised error (BudgetExceeded) is never
+    stored.
+    """
     key = (fc.fingerprint, col_ids, k, strategy, budget)
     hit = _ORIENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    sub = restrict_class(fc, col_ids)
-    graph = build_oig(sub)
-    orientation = find_orientation(graph, k, strategy=strategy, budget=budget)
-    if len(_ORIENT_CACHE) >= _ORIENT_CACHE_CAP:
-        _ORIENT_CACHE.clear()
-    _ORIENT_CACHE[key] = (sub, graph, orientation)
-    return _ORIENT_CACHE[key]
+    if hit is None:
+        table = _unique_rows(fc.table[:, col_ids])
+        content = (table.shape, table.tobytes(), fc.alphabet, k, strategy, budget)
+        hit = _ORIENT_CACHE.get(content)
+        if hit is None:
+            sub = FiniteClass(table=table, columns=tuple(range(len(col_ids))),
+                              alphabet=fc.alphabet)
+            graph = build_oig(sub)
+            hit = (sub, graph, find_orientation(graph, k, strategy=strategy, budget=budget))
+        if len(_ORIENT_CACHE) >= _ORIENT_CACHE_CAP - 1:
+            _ORIENT_CACHE.clear()
+        _ORIENT_CACHE[key] = _ORIENT_CACHE[content] = hit
+    return hit
 
 
 def _as_pairs(sample):

@@ -262,8 +262,32 @@ def test_zero_orientation_budget_is_a_budget_of_zero(planted_files, tmp_path, ca
     cfg_path.write_text(json.dumps({
         "pipeline": "oig-listpac", "seeds": 1, "k": 2, "orient_budget": 0,
         "dataset": {"path": str(data), "class_path": str(cls)}}))
-    with pytest.raises(RuntimeError, match="BudgetExceeded"):
-        main(["experiment", "--config", str(cfg_path)])
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    row, aggregate = _lines(capsys)
+    assert row["error"] == "BudgetExceeded" and row["passed"] is False
+    assert aggregate["aggregate"]["failures"][0]["error"] == "BudgetExceeded"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dim", "2"],
+    ["--orient", "1", "--strategy", "exhaustive"],
+    ["--predict", "1", "--strategy", "exhaustive", "--query", "1"],
+])
+def test_oig_budget_errors_are_error_rows(planted_files, tmp_path, capsys, argv):
+    data, cls = planted_files
+    if argv[0] != "--dim":
+        # every edge of the 3x3 grid has 3 members, so a 1-list orientation needs the search
+        cls = tmp_path / "grid.json"
+        cls.write_text(json.dumps({"columns": [0, 1], "alphabet": [0, 1, 2],
+                                   "rows": [[a, b] for a in range(3) for b in range(3)]}))
+        data = tmp_path / "grid.jsonl"
+        data.write_text('{"format": "listboost-data/1", "alphabet": [0, 1, 2]}\n'
+                        '{"x": 0, "y": 0}\n')
+    capsys.readouterr()
+    rc = main(["oig", "--class-file", str(cls), "--data", str(data), "--budget", "1", *argv])
+    assert rc == 1
+    rows = _lines(capsys)
+    assert len(rows) == 1 and rows[0]["error"] == "BudgetExceeded"
 
 
 @pytest.mark.parametrize("command", ["boost", "audit", "hint"])

@@ -298,3 +298,15 @@ def test_null_m0_runs_as_if_absent(cfg):
         return [{k: v for k, v in row.items() if k != "wall_time_s"} for row in report.rows]
 
     assert rows(run_experiment({**cfg, "m0": None})) == rows(run_experiment(cfg))
+
+
+def test_a_failing_seed_is_an_error_row_and_the_others_run():
+    # Seed 2's class needs an exhaustive orientation past the budget; seed 1's does not.
+    cfg = {"pipeline": "oig-listpac", "seeds": [1, 2], "k": 2, "strategy": "exhaustive",
+           "orient_budget": 10,
+           "dataset": {"kind": "planted-finite-class", "m": 12, "labels": 3,
+                       "class_size": 8, "instances": 4}}
+    ok, failed = run_experiment(cfg).rows
+    assert (ok["seed"], ok["error"], ok["passed"]) == (1, None, True)
+    assert (failed["seed"], failed["error"], failed["passed"]) == (2, "BudgetExceeded", False)
+    assert "budget 10" in failed["message"]

@@ -9,6 +9,7 @@ import copy
 import hashlib
 import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -815,13 +816,81 @@ def _assert_batched_matches_loop(fc, k, samples):
     return errors
 
 
+def _hamming_ball(labels, columns):
+    """The all-zero centre and every row one label away from it."""
+    rows = [[0] * columns]
+    for col, label in itertools.product(range(columns), range(1, labels)):
+        rows.append([label if j == col else 0 for j in range(columns)])
+    return build_class(rows, alphabet=tuple(range(labels)))
+
+
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_one_inclusion_lists_match_the_single_query_loop(monkeypatch, catalog, k):
     monkeypatch.setattr(oig, "_ORIENT_CACHE", {})
+    # every column pair of the ball restricts to one table, so most
+    # restrictions below are served by another restriction's memo entry
+    star = _hamming_ball(3, 3)
     errors = set()
-    for fc in catalog.values():
+    for fc in [*catalog.values(), star]:
         errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
     assert errors == {"no class member is consistent with the sample"}
+    # an exhaustive search past its budget raises on every call: errors are not memoized
+    sample, query = [(star.columns[0], 0)], star.columns[1]
+    for _ in range(2):
+        with pytest.raises(BudgetExceeded):
+            _single_query_reference(star, sample, query, 1, "exhaustive", 1)
+        with pytest.raises(BudgetExceeded):
+            oig.one_inclusion_lists(star, sample, [query], 1, "exhaustive", 1)
+
+
+class _NoHits(dict):
+    """An orientation memo that stores entries but never finds one."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def test_orientation_memo_orients_each_distinct_table_once(monkeypatch):
+    fc = _hamming_ball(4, 12)
+    ds = planted_dataset(fc, 300, 1)  # row 0 is the centre
+    calls = {"orient": 0, "validate": 0}
+    tables, requests = set(), []
+    orient, validate, restrict = (oig.find_orientation, FiniteClass.__post_init__,
+                                  oig._oriented_restriction)
+
+    def counting_orient(*args, **kwargs):
+        calls["orient"] += 1
+        return orient(*args, **kwargs)
+
+    def counting_validate(self):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name not in (
+                "restrict_class", "_oriented_restriction"):
+            frame = frame.f_back
+        calls["validate"] += frame is not None
+        validate(self)
+
+    def recording_restrict(fc, col_ids, k, strategy, budget):
+        table = np.unique(fc.table[:, list(col_ids)], axis=0)
+        requests.append((table.shape, table.tobytes(), fc.alphabet, k, strategy, budget))
+        tables.add(requests[-1])
+        return restrict(fc, col_ids, k, strategy, budget)
+
+    monkeypatch.setattr(oig, "find_orientation", counting_orient)
+    monkeypatch.setattr(FiniteClass, "__post_init__", counting_validate)
+    monkeypatch.setattr(oig, "_oriented_restriction", recording_restrict)
+    monkeypatch.setattr(oig, "_ORIENT_CACHE", {})
+    fit = k_list_pac_learn(fc, ds, 1, seed=1)
+    assert fit.consistent_on_train
+    assert len(tables) <= 6
+    assert calls == {"orient": len(tables), "validate": len(tables)}
+
+    calls["orient"], requests[:] = 0, []
+    monkeypatch.setattr(oig, "_ORIENT_CACHE", _NoHits())
+    cold = k_list_pac_learn(fc, ds, 1, seed=1)
+    assert calls["orient"] == len(requests) > 40
+    assert [fit.mu(x) for x in fc.columns] == [cold.mu(x) for x in fc.columns]
+    assert fit.record.to_json_dict() == cold.record.to_json_dict()
 
 
 def _row_key_tables():

@@ -209,7 +209,7 @@ def _cmd_oig(args) -> int:
             return 0
         dataset = load_dataset_jsonl(args.data)
         if args.predict is not None:
-            pred = one_inclusion_list_predict(fc, dataset.examples,
+            pred = one_inclusion_list_predict(fc, dataset,
                                               _parse_key(args.query), args.predict,
                                               strategy=args.strategy, budget=budget)
             _emit({"query": args.query, "labels": list(pred.labels),

@@ -3,6 +3,8 @@
 Instances are hashable keys: strings, integers, or tuples of floats (feature
 vectors). Labels are dense non-negative integers 0..L-1 internally; file
 loaders remap arbitrary integer labels on ingestion and remember the mapping.
+A dataset is int64 arrays over a table of its distinct keys, and a sample is
+a dataset too: no per-example object exists unless ``examples`` is read.
 """
 
 from __future__ import annotations
@@ -52,75 +54,99 @@ class LabeledExample:
     label: int
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)
+    return arr
+
+
 class Dataset:
-    """An ordered multiset of labeled examples over a dense label alphabet."""
+    """An ordered multiset of labeled examples over a dense label alphabet, as integer arrays.
 
-    examples: tuple
-    alphabet: tuple
+    Example i is ``key_table[key_ids[i]]`` labeled ``labels[i]``: a tuple of
+    distinct keys and two read-only int64 arrays. A key table already in
+    first-seen order is its own ``unique_instances``, with ``key_ids`` as
+    ``group_ids``. ``subset`` shares the key table, and with it the memo of
+    ``FiniteClass.columns_at``. ``instances`` and ``examples`` are views.
+    """
 
-    def __post_init__(self):
-        if len(self.examples) == 0:
+    def __init__(self, key_table: tuple, key_ids, labels, alphabet):
+        alphabet = tuple(alphabet)
+        key_ids, labels = _read_only(key_ids), _read_only(labels)
+        if key_ids.size == 0:
             raise InvalidParams("dataset needs at least one example")
-        if len(self.alphabet) < 2:
+        if len(alphabet) < 2:
             raise InvalidParams("label alphabet needs at least two labels")
-        if tuple(self.alphabet) != tuple(range(len(self.alphabet))):
+        if alphabet != tuple(range(len(alphabet))):
             raise InvalidParams("internal alphabet must be dense 0..L-1")
-        for ex in self.examples:
-            if ex.label not in self.alphabet:
-                raise InvalidParams(f"label {ex.label} outside alphabet")
+        if key_ids.shape != labels.shape or key_ids.ndim != 1:
+            raise InvalidParams("one key id and one label per example")
+        outside = (labels < 0) | (labels >= len(alphabet))
+        if outside.any():
+            raise InvalidParams(f"label {labels[outside.argmax()]} outside alphabet")
+        self.key_table, self.alphabet = tuple(key_table), alphabet
+        self.key_ids, self.labels = key_ids, labels
+
+    def subset(self, indices) -> "Dataset":
+        """The examples at ``indices``, in that order, sharing this key table; not re-checked."""
+        indices = np.asarray(indices, dtype=np.int64)
+        sub = object.__new__(Dataset)
+        sub.key_table, sub.alphabet = self.key_table, self.alphabet
+        sub.key_ids = _read_only(self.key_ids[indices])
+        sub.labels = _read_only(self.labels[indices])
+        return sub
 
     @property
     def m(self) -> int:
-        return len(self.examples)
+        return len(self.key_ids)
+
+    @cached_property
+    def _groups(self) -> tuple:
+        """(unique_instances, group_ids, first_index), from one np.unique over the key ids."""
+        ids, first, inverse = np.unique(self.key_ids, return_index=True, return_inverse=True)
+        if ids.size == len(self.key_table) and (first[1:] > first[:-1]).all():
+            uniq, gid = self.key_table, self.key_ids
+        else:
+            order = np.argsort(first)  # the distinct ids in first-seen order
+            uniq = tuple(map(self.key_table.__getitem__, ids[order].tolist()))
+            gid, first = _read_only(np.argsort(order)[inverse]), first[order]
+        first.setflags(write=False)
+        return uniq, gid, first
+
+    @property
+    def unique_instances(self) -> tuple:
+        """Distinct instance keys in first-seen order."""
+        return self._groups[0]
+
+    @property
+    def group_ids(self) -> np.ndarray:
+        """Index of each example's instance within unique_instances."""
+        return self._groups[1]
+
+    @property
+    def first_index(self) -> np.ndarray:
+        """Index of the first example of each instance in unique_instances."""
+        return self._groups[2]
 
     @cached_property
     def instances(self) -> tuple:
-        return tuple(ex.instance for ex in self.examples)
+        return tuple(map(self.key_table.__getitem__, self.key_ids.tolist()))
 
     @cached_property
-    def labels(self) -> np.ndarray:
-        arr = np.array([ex.label for ex in self.examples], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def unique_instances(self) -> tuple:
-        """Distinct instance keys in first-seen order."""
-        seen = {}
-        for x in self.instances:
-            if x not in seen:
-                seen[x] = len(seen)
-        return tuple(seen.keys())
-
-    @cached_property
-    def group_ids(self) -> np.ndarray:
-        """Index of each example's instance within unique_instances."""
-        pos = {x: i for i, x in enumerate(self.unique_instances)}
-        arr = np.array([pos[x] for x in self.instances], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def first_index(self) -> np.ndarray:
-        """Index of the first example of each instance in unique_instances."""
-        first = np.unique(self.group_ids, return_index=True)[1]
-        first.setflags(write=False)
-        return first
-
-    def subset(self, indices) -> list:
-        return [self.examples[i] for i in indices]
+    def examples(self) -> tuple:
+        return tuple(map(LabeledExample, self.instances, self.labels.tolist()))
 
 
 def make_dataset(pairs: Iterable, alphabet=None) -> Dataset:
     """Build a Dataset from (instance, label) pairs, inferring the alphabet if absent."""
-    examples = tuple(LabeledExample(as_instance_key(x), int(y)) for x, y in pairs)
-    if not examples:
-        raise InvalidParams("dataset needs at least one example")
+    key_of = {}
+    key_ids, labels = [], []
+    for x, y in pairs:
+        key_ids.append(key_of.setdefault(as_instance_key(x), len(key_of)))
+        labels.append(int(y))
     if alphabet is None:
-        top = max(ex.label for ex in examples)
-        alphabet = tuple(range(max(top + 1, 2)))
-    return Dataset(examples=examples, alphabet=tuple(alphabet))
+        alphabet = range(max(max(labels, default=0) + 1, 2))
+    return Dataset(tuple(key_of), key_ids, labels, alphabet)
 
 
 @dataclass(frozen=True)
@@ -295,15 +321,12 @@ def coverage_mask(dataset: Dataset, mu: Callable) -> np.ndarray:
     if isinstance(mu, ListFunction) and mu.is_universal:
         return np.ones(dataset.m, dtype=bool)
     lists = [mu(x) for x in dataset.unique_instances]
-    return np.array([y in lists[g] for y, g in
-                     zip(dataset.labels.tolist(), dataset.group_ids.tolist())], dtype=bool)
+    n = len(dataset.alphabet)
+    listed = np.zeros(len(lists) * n, dtype=bool)  # per (distinct instance, label) cell
+    listed[[g * n + y for g, lst in enumerate(lists) for y in lst if 0 <= y < n]] = True
+    return listed[dataset.group_ids * n + dataset.labels]
 
 
 def ordered_dedup(items) -> tuple:
-    seen = set()
-    out = []
-    for v in items:
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return tuple(out)
+    """The distinct items, each at its first position."""
+    return tuple(dict.fromkeys(items))

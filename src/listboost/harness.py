@@ -145,15 +145,14 @@ def gen_noisy(m: int, n_labels: int, class_size: int, n_instances: int,
     if rate == 0.0:
         return clean
     gen = rng.child("noise").generator()
-    pairs = []
+    ds = clean.dataset
+    labels = ds.labels.tolist()
     flipped = 0
-    for ex in clean.dataset.examples:
-        y = ex.label
+    for i, y in enumerate(labels):
         if gen.random() < rate:
-            y = int(gen.choice([v for v in range(n_labels) if v != ex.label]))
-            flipped += y != ex.label
-        pairs.append((ex.instance, y))
-    ds = make_dataset(pairs, alphabet=clean.dataset.alphabet)
+            labels[i] = int(gen.choice([v for v in range(n_labels) if v != y]))
+            flipped += labels[i] != y
+    ds = Dataset(ds.key_table, ds.key_ids, labels, ds.alphabet)
     return GenResult(dataset=ds, finite_class=clean.finite_class,
                      target_row=clean.target_row, flipped=flipped)
 
@@ -186,9 +185,9 @@ def save_dataset_jsonl(dataset: Dataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         header = {"format": DATA_FORMAT, "alphabet": list(dataset.alphabet)}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for ex in dataset.examples:
-            x = list(ex.instance) if isinstance(ex.instance, tuple) else ex.instance
-            fh.write(json.dumps({"x": x, "y": int(ex.label)}, sort_keys=True) + "\n")
+        for x, y in zip(dataset.instances, dataset.labels.tolist()):
+            x = list(x) if isinstance(x, tuple) else x
+            fh.write(json.dumps({"x": x, "y": y}, sort_keys=True) + "\n")
 
 
 def load_dataset_jsonl(path) -> Dataset:

@@ -2,18 +2,19 @@
 
 Weights start uniform and are kept in log space, so no underflow rescaling is
 ever needed. Each round: normalize to a distribution, draw the learner's
-sample i.i.d. from it, train, then multiply every correctly-classified
-example's weight by exp(-eta). The per-round accuracy alpha_t is always
-measured on the full weighted dataset, not the drawn sample; a hypothesis is
-evaluated once per distinct training instance. The score table keeps, per
-instance, one row of vote counts indexed by label: how many rounds voted
-that label there. Row sums equal the round count exactly because every
-hypothesis casts one vote. Elsewhere each distinct hypothesis object is
-asked once and its vote counted once per round that returned it. The
-wrong-label game of ``oig`` counts its bag's guesses in the same table, one
-round per draw. A run's record group is written by ``compression.slot_group``,
-one slot per round from its sample and prediction row (``round_indices`` and
-``score.predictions``).
+sample i.i.d. from it (``dataset.subset`` at the drawn indices: integer
+arrays on the dataset's key table, no per-example objects), train, then
+multiply every correctly-classified example's weight by exp(-eta). The
+per-round accuracy alpha_t is always measured on the full weighted dataset,
+not the drawn sample; a hypothesis is evaluated once per distinct training
+instance. The score table keeps, per instance, one row of vote counts
+indexed by label: how many rounds voted that label there. Row sums equal the
+round count exactly because every hypothesis casts one vote. Elsewhere each
+distinct hypothesis object is asked once and its vote counted once per round
+that returned it. The wrong-label game of ``oig`` counts its bag's guesses
+in the same table, one round per draw. A run's record group is written by
+``compression.slot_group``, one slot per round from its sample and
+prediction row (``round_indices`` and ``score.predictions``).
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and

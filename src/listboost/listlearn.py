@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -164,7 +164,7 @@ class ListLearner:
     list_size = 1
     min_sample = 1
 
-    def train(self, sample: Sequence) -> ListFunction:
+    def train(self, sample: Dataset) -> ListFunction:
         raise NotImplementedError
 
 
@@ -179,14 +179,11 @@ class ErmListLearner(ListLearner):
         self.list_size = k
         self.name = f"erm-list[k={k}]"
 
-    def train(self, sample) -> ListFunction:
-        if not sample:
+    def train(self, sample: Dataset) -> ListFunction:
+        if sample.m == 0:
             raise InvalidParams("empty training sample")
         fc = self.finite_class
-        cols = fc.column_ids(ex.instance for ex in sample)
-        ys = np.array([ex.label for ex in sample], dtype=np.int64)
-        hits = (fc.table[:, cols] == ys).sum(axis=1)
-        order = np.argsort(-hits, kind="stable")[: self.k]
+        order = np.argsort(-fc.agreement(sample), kind="stable")[: self.k]
         rows = [int(r) for r in order]
 
         def extend(x):
@@ -227,8 +224,8 @@ def list_to_weak(dataset: Dataset, list_learner: ListLearner, k: int,
 
     Candidate i trains on its own block of the data and predicts position
     j_i (uniform over [k]) of the returned list; all candidates are scored
-    on a final held-out validation block and the best one wins (ties to the
-    lowest candidate index). The winner's accuracy target is (1-2*eps)/k.
+    once per distinct instance of a final held-out validation block, and the
+    best wins (ties to the lowest index). Its accuracy target is (1-2*eps)/k.
     """
     if k < 1:
         raise InvalidParams("list size k must be at least 1")
@@ -245,20 +242,19 @@ def list_to_weak(dataset: Dataset, list_learner: ListLearner, k: int,
             f"{max(1, list_learner.min_sample)} example(s) plus r_val={r_val} "
             f"validation examples; m={m} is too small"
         )
-    val = dataset.examples[m - r_val:]
+    val = dataset.subset(range(m - r_val, m))
     alphabet = dataset.alphabet
     candidates = []
     positions = []
     for i in range(1, q + 1):
-        sample = dataset.examples[(i - 1) * block: i * block]
-        mu_i = list_learner.train(sample)
+        mu_i = list_learner.train(dataset.subset(range((i - 1) * block, i * block)))
         j_i = int(rng.child("candidate", i).generator().integers(k))
         positions.append(j_i)
         candidates.append((mu_i, j_i))
     accs = []
     for mu_i, j_i in candidates:
-        hits = sum(1 for ex in val if _pad_pick(mu_i(ex.instance), j_i, alphabet) == ex.label)
-        accs.append(hits / r_val)
+        hits = coverage_mask(val, lambda x: (_pad_pick(mu_i(x), j_i, alphabet),))
+        accs.append(int(hits.sum()) / r_val)
     best = int(np.argmax(np.asarray(accs)))  # first max = lowest candidate index
     mu_b, j_b = candidates[best]
 
@@ -280,22 +276,20 @@ class ListDerivedWeakLearner(WeakLearner):
     """
 
     def __init__(self, list_learner: ListLearner, k: int, epsilon: float,
-                 delta: float, alphabet, base_seed: int = 0):
+                 delta: float, base_seed: int = 0):
         self.list_learner = list_learner
         self.k = k
         self.epsilon = epsilon
         self.delta = delta
-        self.alphabet = tuple(alphabet)
         self.base_seed = base_seed
         self.name = f"list-derived[{list_learner.name}]"
 
-    def train(self, sample, mu=None) -> WeakHypothesis:
-        if not sample:
+    def train(self, sample: Dataset, mu=None) -> WeakHypothesis:
+        if sample.m == 0:
             raise InvalidParams("empty training sample")
-        ds = Dataset(examples=tuple(sample), alphabet=self.alphabet)
-        tag = stable_digest(tuple((ex.instance, ex.label) for ex in sample))
+        tag = stable_digest(tuple(zip(sample.instances, sample.labels.tolist())))
         rng = RandomStream(self.base_seed, ("list-derived", tag))
-        return list_to_weak(ds, self.list_learner, self.k, self.epsilon,
+        return list_to_weak(sample, self.list_learner, self.k, self.epsilon,
                             self.delta, rng).hypothesis
 
 
@@ -324,7 +318,7 @@ def list_boost(dataset: Dataset, list_learner: ListLearner, k0: int, eps0: float
     gamma = (1.0 - 2.0 * eps0) / k0
     eps_for_conversion = eps0 if eps0 > 0 else 0.01
     derived = ListDerivedWeakLearner(list_learner, k0, eps_for_conversion, delta,
-                                     dataset.alphabet, base_seed=seed)
+                                     base_seed=seed)
     if m0 is None:
         q, r_val = conversion_budgets(k0, eps_for_conversion, delta)
         m0 = q * max(1, list_learner.min_sample) + r_val

@@ -45,7 +45,6 @@ from .core import (
     RandomStream,
     as_instance_key,
     coverage_mask,
-    make_dataset,
     ordered_dedup,
 )
 from .errors import (
@@ -135,24 +134,25 @@ class FiniteClass:
         except KeyError:
             raise UnknownInstance(f"instance {key!r} is not a class column") from None
 
-    def column_ids(self, keys) -> np.ndarray:
-        """The column of each key, as an int64 array, in one pass over ``keys``."""
-        try:
-            return np.fromiter(map(self.col_index.__getitem__, keys), dtype=np.int64)
-        except KeyError as exc:
-            raise UnknownInstance(f"instance {exc.args[0]!r} is not a class column") from None
+    def columns_at(self, keys: tuple) -> np.ndarray:
+        """The column of each key, as a read-only int64 array.
 
-    def cached_column_ids(self, keys) -> np.ndarray:
-        """``column_ids(keys)``, kept read-only for the last tuple asked; the memo holds that
-        tuple, so its id is not reused. Other iterables and failed lookups are never kept."""
-        if not isinstance(keys, tuple):
-            return self.column_ids(keys)
-        last = self.__dict__.get("_last_ids")
-        if last is None or last[0] is not keys:
-            last = (keys, self.column_ids(keys))
-            last[1].setflags(write=False)
-            object.__setattr__(self, "_last_ids", last)
-        return last[1]
+        ``keys`` is a dataset's key table, or its distinct instances. The
+        columns are kept for the last tuple asked; the memo holds that tuple,
+        so its id is not reused. A list, or a lookup that fails, is never kept.
+        """
+        keys = tuple(keys)  # the same object when it is a tuple
+        if self.__dict__.get("_key_table") is not keys:
+            cols = np.fromiter(map(self.column_of, keys), dtype=np.int64, count=len(keys))
+            cols.setflags(write=False)
+            object.__setattr__(self, "_key_columns", cols)
+            object.__setattr__(self, "_key_table", keys)
+        return self._key_columns
+
+    def agreement(self, sample) -> np.ndarray:
+        """How many examples of the Dataset ``sample`` each row labels correctly."""
+        cols = self.columns_at(sample.key_table)[sample.key_ids]
+        return (self.table[:, cols] == sample.labels).sum(axis=1)
 
     @classmethod
     def from_rows(cls, rows, columns, alphabet=None) -> "FiniteClass":
@@ -526,17 +526,6 @@ def _oriented_restriction(fc: FiniteClass, col_ids: tuple, k: int, strategy: str
     return hit
 
 
-def _as_pairs(sample):
-    pairs = []
-    for item in sample:
-        if isinstance(item, tuple):
-            x, y = item
-            pairs.append((x, int(y)))
-        else:
-            pairs.append((item.instance, int(item.label)))
-    return pairs
-
-
 @dataclass(frozen=True)
 class OigPrediction:
     labels: tuple
@@ -546,8 +535,8 @@ class OigPrediction:
     optimal: bool
 
 
-def one_inclusion_lists(fc: FiniteClass, sample, queries, k: int, strategy: str = "auto",
-                        budget: int = 10**6) -> list:
+def one_inclusion_lists(fc: FiniteClass, sample: Dataset, queries, k: int,
+                        strategy: str = "auto", budget: int = 10**6) -> list:
     """``one_inclusion_list_predict`` at each query in turn, doing the sample's work once.
 
     The sample's distinct (column, label) pairs are resolved once, and each
@@ -555,7 +544,6 @@ def one_inclusion_lists(fc: FiniteClass, sample, queries, k: int, strategy: str 
     query inside the sample's columns shares the restriction to those columns.
     An error is raised at the query where the one-query loop would raise it.
     """
-    pairs = _as_pairs(sample)
     revealed = None  # the sample's sorted distinct (column, label) pairs
     restrictions = {}  # col_ids -> (sub, graph, orientation, pos, consistent members)
     preds = {}  # query column -> OigPrediction
@@ -566,7 +554,8 @@ def one_inclusion_lists(fc: FiniteClass, sample, queries, k: int, strategy: str 
             out.append(preds[q_col])
             continue
         if revealed is None:
-            revealed = sorted({(fc.column_of(x), y) for x, y in pairs})
+            cols = fc.columns_at(sample.key_table)[sample.key_ids]
+            revealed = sorted(set(zip(cols.tolist(), sample.labels.tolist())))
             seen = {c for c, _ in revealed}
         col_ids = tuple(sorted(seen | {q_col}))
         if col_ids not in restrictions:
@@ -593,7 +582,7 @@ def one_inclusion_lists(fc: FiniteClass, sample, queries, k: int, strategy: str 
     return out
 
 
-def one_inclusion_list_predict(fc: FiniteClass, sample, query, k: int,
+def one_inclusion_list_predict(fc: FiniteClass, sample: Dataset, query, k: int,
                                strategy: str = "auto", budget: int = 10**6) -> OigPrediction:
     """Predict a k-list at ``query`` by orienting the class restricted to the sample.
 
@@ -603,13 +592,12 @@ def one_inclusion_list_predict(fc: FiniteClass, sample, query, k: int,
     return one_inclusion_lists(fc, sample, [query], k, strategy, budget)[0]
 
 
-def oig_list_function(fc: FiniteClass, sample, k: int, strategy: str = "auto",
+def oig_list_function(fc: FiniteClass, sample: Dataset, k: int, strategy: str = "auto",
                       budget: int = 10**6, name: str = "") -> ListFunction:
     """The k-list predictor induced by a fixed sample, as a list function."""
-    pairs = tuple(_as_pairs(sample))
 
     def extend(x):
-        return one_inclusion_list_predict(fc, pairs, x, k, strategy=strategy,
+        return one_inclusion_list_predict(fc, sample, x, k, strategy=strategy,
                                           budget=budget).labels
 
     return ListFunction.composed(extend, declared_size=max(1, k),
@@ -653,12 +641,12 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
     That gives round j's subsets and whether they are a fallback search. A
     round keeps the first subset whose list covers at least 1/(d+1) of the
     survivors (exact integers), scoring each distinct labelled set once on a
-    table at the surviving instances; the kept table is completed on every
-    distinct instance for the slot digest and the concatenated list. Replay
-    passes the ``recorded`` slots to check the digests against.
+    table at the survivors' distinct instances; the kept table is completed
+    on every distinct instance for the slot digest and the concatenated list.
+    Replay passes the ``recorded`` slots to check the digests against.
     """
     uniq = dataset.unique_instances
-    labels = dataset.labels
+    key_ids, labels = dataset.key_ids.tolist(), dataset.labels.tolist()
     survivors = list(range(dataset.m))
     rows, rounds, round_mus = [], [], []
     for j in range(1, q + 1):
@@ -666,23 +654,26 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
             break
         need = len(survivors)
         subsets, fallback = candidates(j, survivors)
-        xs = ordered_dedup(dataset.instances[i] for i in survivors)
+        alive = dataset.subset(survivors)
+        xs = alive.unique_instances
         best_cov, best_subset = -1, None
-        # The induced list depends only on the set of labelled examples, so a
-        # repeated set covers what its first copy did: it can neither beat
+        # The induced list depends only on the set of (key id, label) pairs, so
+        # a repeated set covers what its first copy did: it can neither beat
         # best_cov (strict >) nor clear the bar that copy missed.
         scored = set()
         for subset in subsets:
-            sample = tuple(dataset.examples[i] for i in subset)
-            if frozenset(sample) in scored:
+            labelled = frozenset((key_ids[i], labels[i]) for i in subset)
+            if labelled in scored:
                 continue
-            scored.add(frozenset(sample))
+            scored.add(labelled)
+            sample = dataset.subset(subset)
             preds = one_inclusion_lists(fc, sample, xs, k, strategy, orient_budget)
             table = {x: pred.labels for x, pred in zip(xs, preds)}
-            covered = [i for i in survivors if int(labels[i]) in table[dataset.instances[i]]]
-            if len(covered) > best_cov:
-                best_cov, best_subset = len(covered), subset
-            if len(covered) * (d + 1) >= need:
+            covered = coverage_mask(alive, table.__getitem__)
+            n_covered = int(covered.sum())
+            if n_covered > best_cov:
+                best_cov, best_subset = n_covered, subset
+            if n_covered * (d + 1) >= need:
                 break
         else:
             raise SearchExhausted(
@@ -695,13 +686,12 @@ def _cover_loop(fc: FiniteClass, dataset: Dataset, k: int, d: int, q: int, candi
             table.update((x, pred.labels) for x, pred in zip(rest, preds))
         table = {x: table[x] for x in uniq}
         rows.append(tuple(table.values()))
-        rounds.append(CoverRound(subset=tuple(subset), coverage=len(covered),
+        rounds.append(CoverRound(subset=tuple(subset), coverage=n_covered,
                                  survivors_before=need, fallback=fallback))
         lists_at = oig_list_function(fc, sample, k, strategy=strategy, budget=orient_budget)
         round_mus.append(ListFunction.composed(lists_at, declared_size=max(1, k), entries=table,
                                                name=f"cover-round[{len(subset)}]"))
-        covered_set = set(covered)
-        survivors = [i for i in survivors if i not in covered_set]
+        survivors = [i for i, hit in zip(survivors, covered.tolist()) if not hit]
     if survivors:
         raise SearchExhausted(
             f"{len(survivors)} example(s) uncovered after {q} rounds"
@@ -770,8 +760,8 @@ def _min_excluded(labels: tuple, p: int) -> int:
 def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strategy: str,
                       budget: int):
     """Each unique instance's (p-1)-list under the slot, and its min-excluded label."""
-    sample = [dataset.examples[i] for i in indices]
-    lists = [pred.labels for pred in one_inclusion_lists(fc, sample, dataset.unique_instances,
+    lists = [pred.labels for pred in one_inclusion_lists(fc, dataset.subset(indices),
+                                                         dataset.unique_instances,
                                                          p - 1, strategy, budget)]
     return lists, np.array([_min_excluded(lst, p) for lst in lists], dtype=np.int64)
 
@@ -779,11 +769,9 @@ def _slot_predictions(fc: FiniteClass, dataset: Dataset, indices, p: int, strate
 def _guesser(fc: FiniteClass, dataset: Dataset, indices, p: int, strategy: str,
              budget: int) -> WeakHypothesis:
     """A slot's wrong-label guess: the least label its one-inclusion (p-1)-list leaves out."""
-    sample = []  # built the first time the guess is asked for
+    sample = dataset.subset(indices)
 
     def predict(x):
-        if not sample:
-            sample.extend(dataset.examples[i] for i in indices)
         pred = one_inclusion_list_predict(fc, sample, x, p - 1, strategy=strategy, budget=budget)
         return _min_excluded(pred.labels, p)
 
@@ -932,13 +920,12 @@ def _relabel_round(fc: FiniteClass, dataset: Dataset, mu: ListFunction, p_j: int
         )
     sub_fc = FiniteClass.from_rows(mapped[keep], fc.columns, alphabet=tuple(range(p_j)))
     # every sample instance is a class column: the sample passed _check_realizable
-    pos = pos_map[fc.column_ids(dataset.instances), dataset.labels]
+    pos = pos_map[fc.columns_at(dataset.key_table)[dataset.key_ids], dataset.labels]
     if (pos < 0).any():
         i = int(np.argmax(pos < 0))
         raise GameNotConverged(f"true label {dataset.labels[i]} fell out of the list at "
                                f"instance {dataset.instances[i]!r}")
-    return sub_fc, make_dataset(zip(dataset.instances, pos.tolist()),
-                                alphabet=tuple(range(p_j)))
+    return sub_fc, Dataset(dataset.key_table, dataset.key_ids, pos, range(p_j))
 
 
 def _pulled_back(prev_mu: ListFunction, tilde_mu: ListFunction):
@@ -952,9 +939,7 @@ def _pulled_back(prev_mu: ListFunction, tilde_mu: ListFunction):
 
 
 def _check_realizable(fc: FiniteClass, dataset: Dataset):
-    cols = fc.column_ids(dataset.instances)
-    hits = fc.table[:, cols] == dataset.labels[np.newaxis, :]
-    if not bool(hits.all(axis=1).any()):
+    if not (fc.agreement(dataset) == dataset.m).any():
         raise NotRealizable("no hypothesis labels the whole sample correctly")
 
 

@@ -178,8 +178,7 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
         lists.append(nxt)
         cur_lists = nxt.entries
     chain = StagedListChain(lists, scores, dataset.alphabet)
-    consistent = all(chain.predict(x) == int(y)
-                     for x, y in zip(dataset.instances, dataset.labels))
+    consistent = bool(coverage_mask(dataset, lambda x: (chain.predict(x),)).all())
     meta = {
         "gamma": config.gamma,
         "T": config.T,

@@ -12,23 +12,25 @@ in their hint list. The universal hint is audited against plain accuracy
 "everything"), which also keeps every pipeline's behavior independent of how
 many never-used labels the alphabet carries.
 
-Learners receive the raw drawn sample (with repeats), not a weighted set.
-Test-oracle learners may additionally declare ``distribution_aware`` and get
-the exact weighted view; those are not valid compression-scheme components
-and are flagged as such.
+Learners receive the drawn sample, repeats kept, as the training set's
+``Dataset.subset``, not a weighted set; a finite-class learner gathers its
+columns through the class's memo of the shared key table. Test-oracle
+learners may additionally declare ``distribution_aware`` and get the exact
+weighted view; those are not valid compression-scheme components and are
+flagged as such.
 
 A hypothesis is a deterministic ``predict`` function of one instance. Over a
 dataset, ``predict_distinct`` labels each distinct instance once and
 ``group_ids`` gathers the result; a finite-class row (``RowHypothesis``)
-labels them all with one gather from its table row, at column ids its class
-resolves once per distinct-instance tuple.
+labels them all with one gather from its table row, at the column ids its
+class keeps for the dataset's key table.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -50,15 +52,12 @@ class WeakHypothesis:
     def __init__(self, predict: Callable):
         self.predict = predict
 
-    def __call__(self, x) -> int:
-        return self.predict(x)
-
     def predict_distinct(self, instances) -> np.ndarray:
         """Labels of distinct instances as an int64 array; predict runs once on each."""
         return np.array([self.predict(x) for x in instances], dtype=np.int64)
 
     def predictions_for(self, dataset: Dataset) -> np.ndarray:
-        """Predictions aligned with dataset.examples, one label per distinct instance."""
+        """One prediction per example of ``dataset``; predict runs once per distinct instance."""
         return self.predict_distinct(dataset.unique_instances)[dataset.group_ids]
 
 
@@ -75,7 +74,7 @@ class RowHypothesis(WeakHypothesis):
         return int(self.labels[self.finite_class.column_of(x)])
 
     def predict_distinct(self, instances) -> np.ndarray:
-        return self.labels[self.finite_class.cached_column_ids(instances)]
+        return self.labels[self.finite_class.columns_at(instances)]
 
 
 class WeakLearner:
@@ -87,11 +86,11 @@ class WeakLearner:
     # which is what a sample-compression reconstruction is allowed to assume.
     compression_safe = True
 
-    def train(self, sample: Sequence, mu: ListFunction) -> WeakHypothesis:
+    def train(self, sample: Dataset, mu: ListFunction) -> WeakHypothesis:
         raise NotImplementedError
 
     def train_weighted(self, ctx: "TrainContext", dist: ExampleDistribution,
-                       sample: Sequence, mu: ListFunction) -> WeakHypothesis:
+                       sample: Dataset, mu: ListFunction) -> WeakHypothesis:
         """Extended entry point for distribution-aware test oracles."""
         raise NotImplementedError
 
@@ -243,16 +242,12 @@ class ErmFiniteLearner(WeakLearner):
         self.name = f"erm[{finite_class.size}x{finite_class.n}]"
         self._rows = {}  # row index -> its hypothesis; at most finite_class.size entries
 
-    def train(self, sample, mu=None) -> WeakHypothesis:
-        if not sample:
+    def train(self, sample: Dataset, mu=None) -> WeakHypothesis:
+        if sample.m == 0:
             raise InvalidParams("empty training sample")
-        fc = self.finite_class
-        cols = fc.column_ids(ex.instance for ex in sample)
-        ys = np.array([ex.label for ex in sample], dtype=np.int64)
-        hits = (fc.table[:, cols] == ys).sum(axis=1)
-        row = int(np.argmax(hits))  # first max = lowest index
+        row = int(np.argmax(self.finite_class.agreement(sample)))  # first max = lowest index
         if row not in self._rows:
-            self._rows[row] = RowHypothesis(fc, row)
+            self._rows[row] = RowHypothesis(self.finite_class, row)
         return self._rows[row]
 
 
@@ -286,20 +281,19 @@ class StumpLearner(WeakLearner):
 
     name = "stump"
 
-    def train(self, sample, mu) -> WeakHypothesis:
-        if not sample:
+    def train(self, sample: Dataset, mu) -> WeakHypothesis:
+        if sample.m == 0:
             raise InvalidParams("empty training sample")
-        for ex in sample:
-            if not isinstance(ex.instance, tuple):
-                raise NonNumericInstance(
-                    f"stumps need numeric feature vectors, got {ex.instance!r}"
-                )
-        dims = {len(ex.instance) for ex in sample}
+        xs = sample.unique_instances
+        for x in xs:
+            if not isinstance(x, tuple):
+                raise NonNumericInstance(f"stumps need numeric feature vectors, got {x!r}")
+        dims = set(map(len, xs))
         if len(dims) != 1:
             raise NonNumericInstance(f"inconsistent feature dimensions: {sorted(dims)}")
-        X = np.array([ex.instance for ex in sample], dtype=np.float64)
-        y = np.array([ex.label for ex in sample], dtype=np.int64)
-        labels = sorted(set(itertools.chain.from_iterable(mu(ex.instance) for ex in sample)))
+        X = np.array(xs, dtype=np.float64)[sample.group_ids]
+        y = sample.labels
+        labels = sorted(set(itertools.chain.from_iterable(map(mu, xs))))
         if not labels:
             raise InvalidParams("hint lists over the sample are all empty")
         lab_arr = np.array(labels, dtype=np.int64)

@@ -421,9 +421,10 @@ def test_criterion_09_oig_oracle_suite():
             # per-row error bound M / n_points.
             for row in range(fc.size):
                 misses = 0
+                full = make_dataset(zip(fc.columns, fc.table[row].tolist()),
+                                    alphabet=fc.alphabet)
                 for j, query in enumerate(fc.columns):
-                    sample = [(c, int(fc.table[row, i]))
-                              for i, c in enumerate(fc.columns) if i != j]
+                    sample = full.subset([i for i in range(fc.n) if i != j])
                     pred = one_inclusion_list_predict(fc, sample, query, k,
                                                       strategy="exhaustive")
                     misses += int(fc.table[row, j]) not in pred.labels

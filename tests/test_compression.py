@@ -188,6 +188,25 @@ def _trained(pipeline, monkeypatch):
     return res.record, dict(dataset=inp.dataset, finite_class=inp.finite_class)
 
 
+def test_training_and_replay_build_no_labeled_example(monkeypatch):
+    # A sample is a Dataset of integer arrays: boosting the benchmark's
+    # boost-erm input and list-PAC learning its listpac-oig input, each with
+    # its replay, build no per-example object.
+    workloads = bench_workloads(monkeypatch)
+    erm = workloads.build_boost_erm(0, 0, workloads.SIZES["boost-erm"])
+    pac = workloads.build_listpac_oig(0, 0, workloads.SIZES["listpac-oig"])
+    built = []
+    init = core.LabeledExample.__init__
+    monkeypatch.setattr(core.LabeledExample, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    boosted = recursive_boost(erm.dataset, erm.spec, erm.config)
+    reconstruct(boosted.record, erm.dataset, erm.spec)
+    listed = k_list_pac_learn(pac.finite_class, pac.dataset, pac.k, seed=0)
+    reconstruct(listed.record, pac.dataset, finite_class=pac.finite_class)
+    assert built == []
+    assert len(erm.dataset.examples) == len(built) == erm.dataset.m  # the spy sees a build
+
+
 # Each tamper edits a record's JSON dict and returns the message its replay must raise.
 def _meta_edit(key, edit):
     def tamper(rec):

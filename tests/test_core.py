@@ -50,10 +50,24 @@ def test_make_dataset_needs_two_labels():
         make_dataset([("a", 0)], alphabet=(0,))
 
 
-def test_dataset_subset_returns_examples():
-    ds = make_dataset([("a", 0), ("b", 1), ("c", 1)])
-    sub = ds.subset([2, 0])
-    assert sub == [LabeledExample("c", 1), LabeledExample("a", 0)]
+def test_dataset_subset_returns_a_dataset_on_the_same_key_table():
+    ds = make_dataset([("a", 0), ("b", 1), ("c", 1), ("b", 0)])
+    assert ds.unique_instances is ds.key_table and ds.group_ids is ds.key_ids
+    sub = ds.subset([3, 2, 0, 2])
+    assert isinstance(sub, Dataset)
+    assert sub.key_table is ds.key_table and sub.alphabet == ds.alphabet
+    assert sub.instances == ("b", "c", "a", "c")
+    assert sub.labels.tolist() == [0, 1, 0, 1]
+    assert sub.unique_instances == ("b", "c", "a")
+    assert sub.group_ids.tolist() == [0, 1, 2, 1]
+    assert sub.first_index.tolist() == [0, 1, 2]
+    assert sub.examples == (LabeledExample("b", 0), LabeledExample("c", 1),
+                            LabeledExample("a", 0), LabeledExample("c", 1))
+    assert not (sub.key_ids.flags.writeable or sub.labels.flags.writeable)
+    again = sub.subset([1, 0])  # a subset of a subset still indexes the first table
+    assert again.key_table is ds.key_table and again.instances == ("c", "b")
+    empty = ds.subset([])
+    assert empty.m == 0 and empty.unique_instances == () and empty.instances == ()
 
 
 def test_as_instance_key_coerces_flat_numeric_sequences():

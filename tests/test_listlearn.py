@@ -150,7 +150,7 @@ def test_weak_to_list_fails_without_edge(counterexample_dataset):
 
 def test_erm_list_learner_orders_by_sample_accuracy(planted):
     fc, ds = planted
-    mu = ErmListLearner(fc, k=2).train(ds.examples)
+    mu = ErmListLearner(fc, k=2).train(ds)
     # The planted row (row index of (0,1,0,2) after table sorting) wins every
     # sample point, so it must occupy the first list slot at every instance.
     for ex in ds.examples:
@@ -194,11 +194,11 @@ def test_list_to_weak_winner_beats_target(planted):
 
 
 def test_list_derived_weak_learner_is_sample_pure(planted):
-    fc, ds = planted
+    fc, _ = planted
     learner = ListDerivedWeakLearner(ErmListLearner(fc, k=1), k=1, epsilon=0.45,
-                                     delta=0.3, alphabet=ds.alphabet, base_seed=5)
+                                     delta=0.3, base_seed=5)
     big = planted_dataset(fc, m=300, seed=1)
-    sample = big.examples[:260]
+    sample = big.subset(range(260))
     h1 = learner.train(sample)
     h2 = learner.train(sample)
     probe = [x for x, _ in ((ex.instance, ex.label) for ex in big.examples)]

@@ -279,9 +279,9 @@ def test_leave_one_out_misses_equal_out_degree(catalog, name, k):
     worst = 0
     for row in range(fc.size):
         misses = 0
+        full = make_dataset(zip(fc.columns, fc.table[row].tolist()), alphabet=fc.alphabet)
         for j, query in enumerate(fc.columns):
-            sample = [(c, int(fc.table[row, i]))
-                      for i, c in enumerate(fc.columns) if i != j]
+            sample = full.subset([i for i in range(fc.n) if i != j])
             pred = one_inclusion_list_predict(fc, sample, query, k,
                                               strategy="exhaustive")
             if int(fc.table[row, j]) not in pred.labels:
@@ -293,8 +293,8 @@ def test_leave_one_out_misses_equal_out_degree(catalog, name, k):
 
 def test_predict_on_revealed_column_is_exact(catalog):
     fc = catalog["hexagon"]
-    sample = [(fc.columns[0], int(fc.table[0, 0])),
-              (fc.columns[1], int(fc.table[0, 1]))]
+    sample = make_dataset([(fc.columns[0], int(fc.table[0, 0])),
+                           (fc.columns[1], int(fc.table[0, 1]))], alphabet=fc.alphabet)
     pred = one_inclusion_list_predict(fc, sample, fc.columns[0], 1)
     assert pred.labels == (int(fc.table[0, 0]),)
 
@@ -303,12 +303,12 @@ def test_predict_rejects_unrealizable_sample(catalog):
     fc = catalog["point1"]  # rows (0,) and (1,) on a single column
     with pytest.raises(NotRealizable):
         one_inclusion_list_predict(
-            fc, [(fc.columns[0], 0), (fc.columns[0], 1)], fc.columns[0], 1)
+            fc, make_dataset([(fc.columns[0], 0), (fc.columns[0], 1)]), fc.columns[0], 1)
 
 
 def test_oig_list_function_declares_k(catalog):
     fc = catalog["grid9"]
-    mu = oig_list_function(fc, [(fc.columns[0], 0)], k=2)
+    mu = oig_list_function(fc, make_dataset([(fc.columns[0], 0)], alphabet=fc.alphabet), k=2)
     assert mu.declared_size == 2
     for c in fc.columns:
         assert 1 <= len(mu(c)) <= 2
@@ -376,7 +376,7 @@ def test_wrong_label_lists_at_unseen_columns_match_a_recount(monkeypatch):
     for c in unseen:
         votes = np.zeros(p, dtype=np.int64)
         for sid, n in zip(*np.unique(group.draws, return_counts=True)):
-            sample = [ds.examples[i] for i in group.slots[sid].indices]
+            sample = ds.subset(group.slots[sid].indices)
             pred = one_inclusion_list_predict(fc, sample, c, p - 1)
             votes[oig._min_excluded(pred.labels, p)] += n
         top = int(np.argmax(votes))  # ties to the lowest label
@@ -529,7 +529,7 @@ def _count_batched(monkeypatch):
     batched = oig.one_inclusion_lists
 
     def counting(fc, sample, queries, *args, **kwargs):
-        calls.append((tuple(sample), tuple(queries)))
+        calls.append((sample.examples, tuple(queries)))
         return batched(fc, sample, queries, *args, **kwargs)
 
     monkeypatch.setattr(oig, "one_inclusion_lists", counting)
@@ -784,19 +784,20 @@ def _outcome(run):
 
 
 def _catalog_samples(fc):
-    """Realizable samples (every row on every column subset, some examples as
-    LabeledExample, some columns repeated) and unrealizable ones."""
+    """Realizable samples (every row on every column subset, the empty one
+    included, some with a column repeated) and unrealizable ones, one of them
+    with a label outside the class alphabet."""
     samples = []
     for row in fc.table.tolist():
+        full = make_dataset(zip(fc.columns, row), alphabet=fc.alphabet)
         for size in range(fc.n + 1):
             for cols in itertools.combinations(range(fc.n), size):
-                pairs = [(fc.columns[c], row[c]) for c in cols]
-                samples.append(pairs + pairs[:1])
-                if pairs:
-                    samples.append(list(make_dataset(pairs, alphabet=fc.alphabet).examples))
+                samples.append(full.subset(cols + cols[:1]))
+                if cols:
+                    samples.append(full.subset(cols))
     top = max(fc.alphabet)
-    samples.append([(fc.columns[0], 0), (fc.columns[0], top)])
-    samples.append([(fc.columns[-1], top + 1)])
+    samples.append(make_dataset([(fc.columns[0], 0), (fc.columns[0], top)]))
+    samples.append(make_dataset([(fc.columns[-1], top + 1)]))
     return samples
 
 
@@ -807,10 +808,10 @@ def _assert_batched_matches_loop(fc, k, samples):
     errors = set()
     for sample in samples:
         for i in range(len(queries) + 1):
-            want = _outcome(lambda: [_single_query_reference(fc, sample, x, k)
+            want = _outcome(lambda: [_single_query_reference(fc, sample.examples, x, k)
                                      for x in queries[:i]])
             got = _outcome(lambda: oig.one_inclusion_lists(fc, sample, queries[:i], k))
-            assert got == want, (sample, queries[:i])
+            assert got == want, (sample.examples, queries[:i])
             if isinstance(want, str):
                 errors.add(want)
     return errors
@@ -835,10 +836,10 @@ def test_one_inclusion_lists_match_the_single_query_loop(monkeypatch, catalog, k
         errors |= _assert_batched_matches_loop(fc, k, _catalog_samples(fc))
     assert errors == {"no class member is consistent with the sample"}
     # an exhaustive search past its budget raises on every call: errors are not memoized
-    sample, query = [(star.columns[0], 0)], star.columns[1]
+    sample, query = make_dataset([(star.columns[0], 0)]), star.columns[1]
     for _ in range(2):
         with pytest.raises(BudgetExceeded):
-            _single_query_reference(star, sample, query, 1, "exhaustive", 1)
+            _single_query_reference(star, sample.examples, query, 1, "exhaustive", 1)
         with pytest.raises(BudgetExceeded):
             oig.one_inclusion_lists(star, sample, [query], 1, "exhaustive", 1)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from listboost.core import ListFunction, make_dataset, normalize
-from listboost.oig import FiniteClass
 from listboost.errors import (
     InvalidGamma,
     InvalidParams,
@@ -74,13 +73,13 @@ def test_erm_finite_learner_picks_best_row():
     fc = build_class([(0, 0), (0, 1), (1, 1)])
     learner = ErmFiniteLearner(fc)
     ds = make_dataset([(0, 0), (1, 1), (1, 1)])
-    hyp = learner.train(ds.examples)
+    hyp = learner.train(ds)
     assert [hyp.predict(0), hyp.predict(1)] == [0, 1]
 
 
 def test_erm_tie_goes_to_first_row():
     fc = build_class([(0, 0), (1, 1)])
-    sample = make_dataset([(0, 0), (1, 1)]).examples
+    sample = make_dataset([(0, 0), (1, 1)])
     hyp = ErmFiniteLearner(fc).train(sample)
     # both rows hit exactly one point; the first row wins the tie
     assert hyp.predict(0) == 0 and hyp.predict(1) == 0
@@ -89,17 +88,17 @@ def test_erm_tie_goes_to_first_row():
 def test_too_weak_learner_prefers_more_accurate_candidate():
     learner = TooWeakLearner()
     ds = make_dataset([("a", 1), ("b", 1), ("c", 2)])
-    hyp = learner.train(ds.examples)
+    hyp = learner.train(ds)
     assert hyp.predict("a") == 1  # second candidate matches a and b here
     ds2 = make_dataset([("a", 0), ("b", 0), ("c", 2)])
-    hyp2 = learner.train(ds2.examples)
+    hyp2 = learner.train(ds2)
     assert hyp2.predict("a") == 0
 
 
 def test_too_weak_learner_rejects_foreign_instances():
     learner = TooWeakLearner()
     with pytest.raises(UnknownInstance):
-        learner.train(make_dataset([("q", 0), ("a", 1)]).examples)
+        learner.train(make_dataset([("q", 0), ("a", 1)]))
 
 
 def test_stump_learner_splits_one_dimension():
@@ -107,18 +106,18 @@ def test_stump_learner_splits_one_dimension():
     pairs = [((float(v),), int(v >= 2)) for v in range(4)]
     ds = make_dataset(pairs)
     mu = ListFunction.universal(ds.alphabet)
-    hyp = StumpLearner().train(ds.examples, mu)
+    hyp = StumpLearner().train(ds, mu)
     assert all(hyp.predict(x) == y for (x, y) in pairs)
 
 
 def test_stump_learner_needs_numeric_tuples():
     ds = make_dataset([("a", 0), ("b", 1)])
     with pytest.raises(NonNumericInstance):
-        StumpLearner().train(ds.examples, ListFunction.universal((0, 1)))
+        StumpLearner().train(ds, ListFunction.universal((0, 1)))
 
 
 def test_constant_learner():
-    hyp = ConstantLearner(1).train(make_dataset([("a", 0), ("b", 1)]).examples)
+    hyp = ConstantLearner(1).train(make_dataset([("a", 0), ("b", 1)]))
     assert hyp.predict("whatever") == 1
 
 
@@ -164,9 +163,9 @@ def test_predictions_for_calls_predict_once_per_distinct_instance():
 def test_row_hypotheses_reject_non_column_instances_and_are_shared_per_row():
     fc = build_class([(0, 1, 2), (1, 1, 0)], columns=("a", "b", "c"), alphabet=(0, 1, 2))
     learner = ErmFiniteLearner(fc)
-    first = learner.train(make_dataset([("a", 0), ("c", 2)], alphabet=fc.alphabet).examples)
-    again = learner.train(make_dataset([("b", 1), ("a", 0)], alphabet=fc.alphabet).examples)
-    other = learner.train(make_dataset([("a", 1)], alphabet=fc.alphabet).examples)
+    first = learner.train(make_dataset([("a", 0), ("c", 2)], alphabet=fc.alphabet))
+    again = learner.train(make_dataset([("b", 1), ("a", 0)], alphabet=fc.alphabet))
+    other = learner.train(make_dataset([("a", 1)], alphabet=fc.alphabet))
     assert first is again and other is not first
     assert isinstance(first, RowHypothesis)
     assert [first.predict(x) for x in fc.columns] == [0, 1, 2]
@@ -177,37 +176,41 @@ def test_row_hypotheses_reject_non_column_instances_and_are_shared_per_row():
     with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
         first.predict("zzz")
     with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
-        learner.train(make_dataset([("zzz", 1)]).examples)
+        learner.train(make_dataset([("zzz", 1)]))
 
 
-def test_row_hypothesis_resolves_column_ids_once_per_distinct_instance_tuple(monkeypatch):
+def test_class_columns_are_resolved_once_per_key_table():
     fc = build_class([(0, 1, 2, 1), (1, 1, 0, 2)], columns=("a", "b", "c", "d"),
                      alphabet=(0, 1, 2))
-    resolved = []
-    column_ids = FiniteClass.column_ids
-
-    def counted(self, keys):
-        keys = tuple(keys)
-        resolved.append(keys)
-        return column_ids(self, keys)
-
-    monkeypatch.setattr(FiniteClass, "column_ids", counted)
-    row = RowHypothesis(fc, 1)
-    bad = make_dataset([("a", 0), ("zzz", 1)])
-    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
-        row.predictions_for(bad)  # before any memo
+    row, learner = RowHypothesis(fc, 1), ErmFiniteLearner(fc)
     first = make_dataset([("c", 0), ("a", 1), ("c", 2), ("d", 1)])
     second = make_dataset([("b", 0), ("d", 2), ("b", 1)])
-    for ds in (first, first, second, first, second, second):
-        assert row.predictions_for(ds).tolist() == [row.predict(x) for x in ds.instances]
-    # one resolution per run of calls on the same tuple
-    assert resolved == [bad.unique_instances] + [first.unique_instances,
-                                                 second.unique_instances] * 2
+    bad = make_dataset([("a", 0), ("zzz", 1)])
+    looked_up = []
+
+    class Spy(dict):
+        def __getitem__(self, key):
+            looked_up.append(key)
+            return super().__getitem__(key)
+
+    object.__setattr__(fc, "col_index", Spy(fc.col_index))  # the cached_property's slot
     with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
-        row.predictions_for(bad)  # after a memo hit on ``second``
-    resolved.clear()
+        row.predictions_for(bad)  # before any memo
+    want = {first: [0, 1, 0, 2], second: [1, 2, 1]}
+    for ds in (first, first, second, first, second, second):
+        assert row.predictions_for(ds).tolist() == want[ds]
+    # one resolution per run of calls on the same key table
+    assert looked_up == ["a", "zzz"] + list(first.key_table + second.key_table) * 2
+    looked_up.clear()
+    for indices in ([0], [2, 1], [1, 1, 0]):  # a subset shares its parent's key table
+        learner.train(second.subset(indices))
     assert row.predictions_for(second).tolist() == [1, 2, 1]
-    assert resolved == []  # the failure kept nothing: ``second`` is still the memo
+    assert looked_up == []
+    with pytest.raises(UnknownInstance, match="'zzz' is not a class column"):
+        learner.train(bad.subset([0]))  # a failed lookup is not kept
+    looked_up.clear()
+    assert row.predictions_for(second).tolist() == [1, 2, 1]
+    assert looked_up == []  # ``second`` is still the memo
     keys = ["a", "b"]  # a list can change under the same id, so it is never kept
     assert row.predict_distinct(keys).tolist() == [1, 1]
     keys[0] = "c"

@@ -232,18 +232,19 @@ def _cmd_oig(args) -> int:
 
 
 def _cmd_compress_bound(args) -> int:
-    r = args.r
+    row = {"r": args.r}
     if args.record:
         record = CompressionRecord.load(args.record)
-        r = compression_size(record)
-    if r is None:
+        row = {"r": compression_size(record), "slots": sum(len(g.slots) for g in record.groups),
+               "kappa": sum(len(s.indices) for g in record.groups for s in g.slots)}
+    if row["r"] is None:
         raise SystemExit("compress-bound needs --r or --record")
     try:
-        eps = generalization_bound(r, args.m, args.delta)
+        eps = generalization_bound(row["r"], args.m, args.delta)
     except ListboostError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc), "r": r, "m": args.m})
+        _emit({"error": type(exc).__name__, "message": str(exc), **row, "m": args.m})
         return 1
-    _emit({"r": r, "m": args.m, "delta": args.delta, "epsilon": eps,
+    _emit({**row, "m": args.m, "delta": args.delta, "epsilon": eps,
            "vacuous": bound_is_vacuous(eps)})
     return 0
 
@@ -354,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = subs.add_parser("compress-bound", help="evaluate the generalization bound")
     c.add_argument("--r", type=int)
-    c.add_argument("--record", help="read r from a record JSON instead")
+    c.add_argument("--record", help="read r, the slot count and kappa from a record JSON")
     c.add_argument("--m", type=int, required=True)
     c.add_argument("--delta", type=float, default=0.05)
     c.set_defaults(func=_cmd_compress_bound)

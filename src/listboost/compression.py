@@ -1,16 +1,17 @@
 """Sample-compression records, reconstruction, and generalization accounting.
 
-A record stores, for every trained hypothesis, the ordered dataset indices it
-was trained on, grouped by pipeline stage. Reconstruction replays the
-deterministic learner on exactly those index sequences and must reproduce the
-original predictor bit for bit; per-slot prediction fingerprints catch any
-divergence. ``slot_group`` is the one writer of a group: every pipeline, in
-training and in replay, hands it the slots' indices and prediction rows, and
-it hashes them, checks them against the recorded slots and groups them. Every
+A record stores, per pipeline stage, one slot per distinct trained hypothesis
+(in first-draw order) with the ordered dataset indices it was trained on, and
+the slot id each round drew (``draws``; a /1 record has a slot per round and
+no draws). Reconstruction replays the deterministic learner on those index
+sequences and must reproduce the predictor bit for bit; per-slot prediction
+fingerprints, and each Hedge stage's audit pass count, catch any divergence.
+``slot_group`` writes every group, in training and in replay: it hashes the
+slots' prediction rows and checks them against the recorded slots. Every
 replay reads its meta with ``read_meta``, range-checks every index before it
 replays (``check_record_ids``), and compares the record it rebuilds with the
-given one whole (``check_rebuilt``). The record size r
-counts every transmitted index (repeats included), and the conditional bound
+given one whole (``check_rebuilt``). The record size r counts draws times
+slot size (kappa, the distinct slots' indices alone, is less), and the bound
 
     eps(r, m, delta) = (r * ln(m) + ln(1/delta)) / (m - r)
 
@@ -30,7 +31,7 @@ from . import core
 from .core import Dataset, RandomStream
 from .errors import InvalidParams, NonDeterministicLearner, RTooLarge
 
-RECORD_FORMAT = "listboost-record/1"
+RECORD_FORMAT = "listboost-record/2"
 
 
 def _check_ints(g: dict) -> None:
@@ -62,11 +63,12 @@ class HypothesisSlot:
 
 @dataclass
 class RecordGroup:
-    """A pipeline stage's slots; ``draws`` lists slot reuses for vote stages."""
+    """A stage's slots, each round's slot id (None: each slot once) and audit pass count."""
 
     tag: str
     slots: list
     draws: Optional[list] = None
+    audits_passed: Optional[int] = None
 
     def size(self) -> int:
         if self.draws is None:
@@ -79,6 +81,7 @@ class CompressionRecord:
     pipeline: str
     meta: dict
     groups: list
+    format: str = RECORD_FORMAT  # a loaded record keeps the format it was read with
 
     def group(self, tag: str) -> RecordGroup:
         for g in self.groups:
@@ -88,7 +91,7 @@ class CompressionRecord:
 
     def to_json_dict(self) -> dict:
         return {
-            "format": RECORD_FORMAT,
+            "format": self.format,
             "pipeline": self.pipeline,
             "meta": self.meta,
             "groups": [
@@ -99,6 +102,8 @@ class CompressionRecord:
                         for s in g.slots
                     ],
                     "draws": list(g.draws) if g.draws is not None else None,
+                    **({"audits_passed": g.audits_passed} if g.audits_passed is not None
+                       else {}),
                 }
                 for g in self.groups
             ],
@@ -106,7 +111,7 @@ class CompressionRecord:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "CompressionRecord":
-        if obj.get("format") != RECORD_FORMAT:
+        if obj.get("format") not in (RECORD_FORMAT, "listboost-record/1"):
             raise InvalidParams(f"unsupported record format: {obj.get('format')!r}")
         groups = []
         for g in obj["groups"]:
@@ -114,8 +119,8 @@ class CompressionRecord:
             slots = [HypothesisSlot(slot=s["slot"], indices=s["indices"],
                                     pred_hash=s.get("pred_hash", "")) for s in g["slots"]]
             draws = list(g["draws"]) if g.get("draws") is not None else None
-            groups.append(RecordGroup(tag=g["tag"], slots=slots, draws=draws))
-        return cls(pipeline=obj["pipeline"], meta=dict(obj["meta"]), groups=groups)
+            groups.append(RecordGroup(g["tag"], slots, draws, g.get("audits_passed")))
+        return cls(obj["pipeline"], dict(obj["meta"]), groups, obj["format"])
 
     def dump(self, path):
         """Write the record as one line of JSON, built by ``json.dumps``'s C encoder in one
@@ -132,11 +137,12 @@ class CompressionRecord:
 def slot_group(tag: str, indices, rows, recorded=(), draws=None) -> RecordGroup:
     """The record group ``tag``: slot n holds ``indices[n]`` and the digest of ``rows[n]``.
 
-    A row is a slot's predictions: an int array, hashed as the tuple of its
-    entries, or a tuple, hashed as it is. Each distinct row is hashed once.
-    Replay passes the ``recorded`` slots, and the first whose pred_hash differs
-    raises NonDeterministicLearner naming ``tag`` and the slot; an empty
-    pred_hash, or a slot the replay never reached, is left to ``check_rebuilt``.
+    ``draws`` is each round's slot id (None: each slot once); a Hedge group's slots are its
+    distinct hypotheses in first-draw order. A row, an int array hashed as the tuple of its
+    entries or a tuple hashed as it is, is hashed once per distinct row. Replay passes the
+    ``recorded`` slots: the first whose pred_hash differs raises NonDeterministicLearner
+    naming ``tag`` and the slot; an empty pred_hash, or a slot the replay never reached, is
+    left to ``check_rebuilt``.
     """
     digests = {}  # an array row's bytes, or a tuple row itself -> its digest
     slots = []
@@ -154,6 +160,19 @@ def slot_group(tag: str, indices, rows, recorded=(), draws=None) -> RecordGroup:
                                           "diverged from the record")
     return RecordGroup(tag=tag, slots=slots,
                        draws=list(map(int, draws)) if draws is not None else None)
+
+
+def hedge_group(tag: str, result, recorded: Optional[RecordGroup] = None) -> RecordGroup:
+    """A ``hedge.HedgeResult``'s group: each slot's sample and row from the round that
+    first drew it, the ``draws`` and the audit pass count. Replay passes the ``recorded``
+    group; one without draws (format /1) is rebuilt as it was, without either."""
+    first = [result.draws.index(s) for s in range(max(result.draws) + 1)]
+    group = slot_group(tag, [result.rounds[t].indices for t in first],
+                       result.score.predictions[first], recorded.slots if recorded else ())
+    if recorded is None or recorded.draws is not None:
+        group.draws, audits = list(result.draws), result.audits
+        group.audits_passed = sum(a.passed for a in audits) if audits else None
+    return group
 
 
 def read_meta(record: CompressionRecord, keys) -> dict:
@@ -179,7 +198,9 @@ def check_record_ids(record: CompressionRecord, m: int) -> None:
 
 def check_rebuilt(record: CompressionRecord, rebuilt: CompressionRecord) -> None:
     """InvalidParams unless the replay rebuilt the record whole, naming where it
-    first differs: a meta key (both values), else a group, else the header."""
+    first differs: a meta key (both values), else a group, else the header. The
+    rebuilt record takes the given one's format."""
+    rebuilt.format = record.format
     new, old = rebuilt.to_json_dict(), record.to_json_dict()
     if new != old:
         a, b = new["meta"], old["meta"]
@@ -191,7 +212,7 @@ def check_rebuilt(record: CompressionRecord, rebuilt: CompressionRecord) -> None
 
 
 def compression_size(record: CompressionRecord) -> int:
-    """Total transmitted example indices, counting repeats."""
+    """Total transmitted example indices r, counting repeats: draws times slot size."""
     return sum(g.size() for g in record.groups)
 
 

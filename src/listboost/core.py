@@ -207,7 +207,10 @@ def normalize(weights) -> ExampleDistribution:
     # -fsum(others - 1) is 1 - sum(others) with one rounding
     v[top] = -1.0
     v[top] = -math.fsum(memoryview(v))
-    return ExampleDistribution(weights=v)
+    v.setflags(write=False)
+    dist = object.__new__(ExampleDistribution)  # v is fresh and meets its checks already
+    object.__setattr__(dist, "weights", v)
+    return dist
 
 
 def _tag_to_int(tag) -> int:

@@ -12,9 +12,9 @@ indexed by label: how many rounds voted that label there. Row sums equal the
 round count exactly because every hypothesis casts one vote. Elsewhere each
 distinct hypothesis object is asked once and its vote counted once per round
 that returned it. The wrong-label game of ``oig`` counts its bag's guesses
-in the same table, one round per draw. A run's record group is written by
-``compression.slot_group``, one slot per round from its sample and
-prediction row (``round_indices`` and ``score.predictions``).
+in the same table, one round per draw. A run keeps one slot per distinct
+hypothesis object, in first-draw order, and each round's slot id (``draws``);
+``compression.hedge_group`` writes them as the run's record group.
 
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
@@ -97,6 +97,7 @@ class HedgeResult:
     final_log_weights: np.ndarray
     alphas: np.ndarray
     correct_counts: np.ndarray  # H(x_i, y_i) per training index
+    draws: list  # the slot id of each round; slot ids count up in first-draw order
 
     @property
     def round_indices(self) -> list:
@@ -138,24 +139,27 @@ def _drawn_indices(rng: RandomStream, tag: str, m0: int) -> Callable:
     return draw
 
 
-def _recorded_indices(recorded_indices, m0: int, where: str) -> Callable:
-    """Round t replays the t-th recorded sample of m0 indices; a round past the last raises.
-
-    A sample that is not m0 long raises before any round, naming the record
-    group ``where`` and the round.
-    """
+def _recorded_indices(recorded_indices, m0: int, where: str, draws=None) -> Callable:
+    """Round t replays the sample of slot ``draws[t-1]`` (None: the t-th sample), kept on
+    the source as ``draws``; a round past the last raises. Before any round,
+    InvalidParams names the group ``where`` unless it draws every slot in first-draw
+    order, or else the first round whose sample is not m0 long."""
     recorded = [np.asarray(ix, dtype=np.int64) for ix in recorded_indices]
-    for t, ix in enumerate(recorded, 1):
+    draws = range(len(recorded)) if draws is None else draws
+    if list(dict.fromkeys(draws)) != list(range(len(recorded))):
+        raise InvalidParams(f"{where} does not draw each slot, in first-draw order".lstrip())
+    for t, ix in enumerate(map(recorded.__getitem__, draws), 1):
         if ix.size != m0:
             raise InvalidParams(f"{where} round {t} has {ix.size} indices, not m0={m0}".lstrip())
 
     def replay(t, dist):
-        if t > len(recorded):
+        if t > len(draws):
             raise NonDeterministicLearner(
-                f"replay needs round {t} but only {len(recorded)} were recorded"
+                f"replay needs round {t} but only {len(draws)} were recorded"
             )
-        return recorded[t - 1]
+        return recorded[draws[t - 1]]
 
+    replay.draws = draws
     return replay
 
 
@@ -169,8 +173,9 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
                 audit_log: Optional[BrgAuditLog], audit_tag: str) -> HedgeResult:
     """Up to T rounds; audit tags are ``audit_tag`` followed by the round number.
 
-    With eta = inf a correct example's log-weight becomes -inf, and the loop
-    stops before a round that would find no weight left.
+    With a replay source's ``draws``, round t trains slot ``draws[t-1]`` only at
+    its first draw. With eta = inf a correct example's log-weight becomes -inf,
+    and the loop stops before a round that would find no weight left.
     """
     if T < 1:
         raise InvalidParams("round count T must be at least 1")
@@ -179,12 +184,15 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
     learner = spec.learner
     ctx = TrainContext(dataset, mu) if learner.distribution_aware else None
     covered = ctx.covered if ctx is not None else coverage_mask(dataset, mu)
+    replayed = getattr(index_source, "draws", None)
     log_w = np.zeros(m, dtype=np.float64)
     predictions = np.empty((T, m), dtype=np.int64)
     alphas = np.empty(T, dtype=np.float64)
-    correct_counts = np.zeros(m, dtype=np.int64)
     rounds = []
     hypotheses = []
+    draws = []
+    slot_of = {}  # a trained hypothesis, or a replayed slot id -> its slot
+    slots = []  # per slot: (hypothesis, the round that first drew it, correct mask)
     for t in range(1, T + 1):
         top = log_w.max()
         if top == -np.inf:
@@ -192,13 +200,21 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
         dist = normalize(np.exp(log_w - top))
         w = dist.weights
         indices = index_source(t, dist)
-        sample = dataset.subset(indices)
-        if learner.distribution_aware:
-            h = learner.train_weighted(ctx, dist, sample, mu)
-        else:
-            h = learner.train(sample, mu)
-        preds = h.predictions_for(dataset)
-        correct = preds == labels
+        key = replayed[t - 1] if replayed is not None else None
+        if key not in slot_of:
+            sample = dataset.subset(indices)
+            if learner.distribution_aware:
+                h = learner.train_weighted(ctx, dist, sample, mu)
+            else:
+                h = learner.train(sample, mu)
+            key = h if key is None else key
+            if key not in slot_of:
+                slot_of[key] = len(slots)
+                predictions[t - 1] = h.predictions_for(dataset)
+                slots.append((h, t - 1, predictions[t - 1] == labels))
+        draws.append(slot_of[key])
+        h, first, correct = slots[draws[-1]]
+        predictions[t - 1] = predictions[first]
         alpha = float(w[correct].sum())
         audit = None
         if gamma is not None:
@@ -207,21 +223,19 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
             if audit_log is not None:
                 audit_log.append(audit)
         log_w[correct] -= eta
-        predictions[t - 1] = preds
         alphas[t - 1] = alpha
-        correct_counts += correct
         hypotheses.append(h)
         rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(indices.tolist()),
                                  audit=audit))
-    run = len(rounds)
-    score = ScoreTable(hypotheses, dataset, predictions[:run])
+    predictions = predictions[:len(rounds)]
     return HedgeResult(
-        score=score,
+        score=ScoreTable(hypotheses, dataset, predictions),
         rounds=rounds,
         eta=eta,
         final_log_weights=log_w,
-        alphas=alphas[:run],
-        correct_counts=correct_counts,
+        alphas=alphas[:len(rounds)],
+        correct_counts=(predictions == labels).sum(axis=0),
+        draws=draws,
     )
 
 
@@ -237,15 +251,14 @@ def run_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
 def replay_hedge(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec,
                  recorded_indices, eta: float, gamma: Optional[float] = None,
                  audit_log: Optional[BrgAuditLog] = None, audit_tag: str = "",
-                 where: str = "") -> HedgeResult:
-    """Re-run rounds on previously recorded per-round sample indices.
+                 where: str = "", draws=None) -> HedgeResult:
+    """Re-run rounds on previously recorded samples: one per round, or per slot with ``draws``.
 
     ``where`` names the record group the samples came from in a length error.
     """
     _check_eta(eta)
-    recorded = list(recorded_indices)
-    replay = _recorded_indices(recorded, spec.m0, where)
-    return _run_rounds(dataset, mu, spec, len(recorded), eta, replay,
+    replay = _recorded_indices(recorded_indices, spec.m0, where, draws)
+    return _run_rounds(dataset, mu, spec, len(replay.draws), eta, replay,
                        gamma, audit_log, f"{audit_tag}t")
 
 

@@ -26,7 +26,7 @@ import numpy as np
 # bench/spans.py wraps normalize, stable_digest and audit_from_arrays in this
 # module, which does not call them.
 from .core import Dataset, ListFunction, RandomStream, normalize, ordered_dedup, stable_digest
-from .compression import RecordGroup, slot_group
+from .compression import RecordGroup, hedge_group
 from .errors import InvalidGamma
 from .hedge import _drawn_indices, _recorded_indices, _run_rounds
 from .weak_learn import BrgAuditLog, WeakLearnerSpec, audit_from_arrays
@@ -53,11 +53,11 @@ class HintResult:
 
 def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
                gamma: Optional[float], audit_log: Optional[BrgAuditLog],
-               recorded=()) -> HintResult:
+               recorded: Optional[RecordGroup] = None) -> HintResult:
     universal = ListFunction.universal(dataset.alphabet)
     result = _run_rounds(dataset, universal, spec, p, math.inf, index_source, gamma,
                          audit_log, "hint:j")
-    group = slot_group("hint", result.round_indices, result.score.predictions, recorded)
+    group = hedge_group("hint", result, recorded)
     distinct = result.score.distinct
     predictions = result.score.predictions
     # residual size after each round; the first round starts from all m examples
@@ -93,7 +93,8 @@ def build_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
 
 
 def replay_initial_hint(dataset: Dataset, spec: WeakLearnerSpec, p: int,
-                        recorded_slots, gamma: Optional[float] = None) -> HintResult:
-    """Rebuild a hint from recorded per-round sample indices, verifying fingerprints."""
-    replay = _recorded_indices((s.indices for s in recorded_slots), spec.m0, "hint")
-    return _hint_core(dataset, spec, p, replay, gamma, None, recorded_slots)
+                        recorded_slots, gamma: Optional[float] = None, draws=None) -> HintResult:
+    """Rebuild a hint from its recorded slots and draws, verifying fingerprints."""
+    recorded = RecordGroup("hint", list(recorded_slots), draws)
+    replay = _recorded_indices([s.indices for s in recorded.slots], spec.m0, "hint", draws)
+    return _hint_core(dataset, spec, p, replay, gamma, None, recorded)

@@ -21,7 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .compression import CompressionRecord, check_rebuilt, check_record_ids, read_meta, slot_group
+from .compression import (RECORD_FORMAT, CompressionRecord, check_rebuilt, check_record_ids,
+                          hedge_group, read_meta)
 from .core import (
     Dataset,
     ListFunction,
@@ -30,12 +31,8 @@ from .core import (
     ordered_dedup,
     stable_digest,
 )
-from .errors import (
-    InsufficientData,
-    InvalidGamma,
-    InvalidParams,
-    PhaseFailure,
-)
+from .errors import (InsufficientData, InvalidGamma, InvalidParams, NonDeterministicLearner,
+                     PhaseFailure)
 from .hedge import HedgeResult, replay_hedge, run_hedge
 from .recursive import default_learning_rate, default_round_count
 from .weak_learn import BrgAuditLog, WeakHypothesis, WeakLearner, WeakLearnerSpec
@@ -85,10 +82,10 @@ class WeakToListResult:
 def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, recorded,
                            gamma: float, k: int, sigma: float, T: int, eta: float,
                            spec: WeakLearnerSpec, seed: int) -> WeakToListResult:
-    """The list and record of a run; replay passes the ``recorded`` slots to check."""
-    group = slot_group("rounds", result.round_indices, result.score.predictions, recorded)
-    if len(group.slots) != T:
-        raise InvalidParams(f"record group rounds has {len(group.slots)} rounds, not T={T}")
+    """The list and record of a run; replay passes the ``recorded`` group to check."""
+    group = hedge_group("rounds", result, recorded)
+    if len(result.rounds) != T:
+        raise InvalidParams(f"record group rounds has {len(result.rounds)} rounds, not T={T}")
     score = result.score
     mu = ListFunction.tabled(lambda x: _vote_entry(score.counts(x), k, T),
                              dataset.unique_instances, k - 1, f"weak-to-list[k={k}]")
@@ -131,7 +128,7 @@ def weak_to_list(dataset: Dataset, spec: WeakLearnerSpec, gamma: float,
     rs = RandomStream(seed, ("weak-to-list",))
     result = run_hedge(dataset, mu0, spec, T, eta, rs.child("rounds"), gamma=gamma,
                        audit_log=audit_log, audit_tag="w2l:")
-    return _assemble_weak_to_list(dataset, result, (), gamma, k, sigma, T, eta, spec, seed)
+    return _assemble_weak_to_list(dataset, result, None, gamma, k, sigma, T, eta, spec, seed)
 
 
 def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
@@ -139,6 +136,8 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     """Rebuild the list function from recorded round indices; k and sigma follow from gamma."""
     meta = read_meta(record, ("gamma", "T", "eta", "m0", "seed"))
     check_record_ids(record, dataset.m)
+    if record.format != RECORD_FORMAT and isinstance(spec.learner, ListDerivedWeakLearner):
+        raise NonDeterministicLearner("ListDerivedWeakLearner no longer seeds as a /1 run did")
     gamma = meta["gamma"]
     k = smallest_k(gamma)
     sigma = gamma - 1.0 / k
@@ -146,8 +145,9 @@ def replay_weak_to_list(record: CompressionRecord, dataset: Dataset,
     group = record.group("rounds")
     mu0 = ListFunction.universal(dataset.alphabet)
     result = replay_hedge(dataset, mu0, effective, [s.indices for s in group.slots],
-                          meta["eta"], gamma=gamma, audit_tag="w2l:", where=group.tag)
-    res = _assemble_weak_to_list(dataset, result, group.slots, gamma, k, sigma, int(meta["T"]),
+                          meta["eta"], gamma=gamma, audit_tag="w2l:", where=group.tag,
+                          draws=group.draws)
+    res = _assemble_weak_to_list(dataset, result, group, gamma, k, sigma, int(meta["T"]),
                                  meta["eta"], effective, int(meta["seed"]))
     check_rebuilt(record, res.record)
     return res
@@ -271,8 +271,8 @@ def list_to_weak(dataset: Dataset, list_learner: ListLearner, k: int,
 class ListDerivedWeakLearner(WeakLearner):
     """A weak learner built by projecting a list learner to single labels.
 
-    The per-call randomness is seeded from a digest of the drawn sample, so
-    training remains a pure function of the sample and stays replayable.
+    The per-call randomness is seeded from a digest of the drawn sample's key ids
+    and labels as bytes, so training remains a pure function of the sample.
     """
 
     def __init__(self, list_learner: ListLearner, k: int, epsilon: float,
@@ -287,7 +287,8 @@ class ListDerivedWeakLearner(WeakLearner):
     def train(self, sample: Dataset, mu=None) -> WeakHypothesis:
         if sample.m == 0:
             raise InvalidParams("empty training sample")
-        tag = stable_digest(tuple(zip(sample.instances, sample.labels.tolist())))
+        tag = stable_digest((sample.key_ids.astype("<i8").tobytes(),
+                             sample.labels.astype("<i8").tobytes()))
         rng = RandomStream(self.base_seed, ("list-derived", tag))
         return list_to_weak(sample, self.list_learner, self.k, self.epsilon,
                             self.delta, rng).hypothesis

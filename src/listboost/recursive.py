@@ -21,7 +21,7 @@ from typing import Optional
 # bench/spans.py wraps stable_digest in this module, which does not call it.
 from .core import Dataset, ListFunction, RandomStream, coverage_mask, stable_digest
 from .compression import (CompressionRecord, check_rebuilt, check_record_ids, compression_size,
-                          read_meta, slot_group)
+                          hedge_group, read_meta)
 from .errors import GammaExhausted, InvalidGamma, InvalidParams, PhaseFailure
 from .hedge import ScoreTable, replay_hedge, run_hedge
 from .hint import build_initial_hint, default_hint_rounds, replay_initial_hint
@@ -158,11 +158,10 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
     for j in range(1, p):
         if all(len(lst) <= 1 for lst in cur_lists.values()):
             break
-        result, recorded = phase_runner(j, lists[-1])  # replay's slots to check; () in training
-        group = slot_group(f"phase-{j}", result.round_indices, result.score.predictions,
-                           recorded)
-        if len(group.slots) != T:
-            raise InvalidParams(f"record group {group.tag} has {len(group.slots)} rounds, "
+        result, recorded = phase_runner(j, lists[-1])  # replay's group to check; None in training
+        group = hedge_group(f"phase-{j}", result, recorded)
+        if len(result.rounds) != T:
+            raise InvalidParams(f"record group {group.tag} has {len(result.rounds)} rounds, "
                                 f"not T={T}")
         oracle_calls += T
         denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)
@@ -220,7 +219,7 @@ def recursive_boost(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig
         result = run_hedge(dataset, mu_j, effective, config.T, config.eta,
                            rs.child("phase", j), gamma=config.gamma,
                            audit_log=audit_log, audit_tag=f"phase{j}:")
-        return result, ()
+        return result, None
 
     return _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
 
@@ -232,16 +231,16 @@ def replay_boost(record: CompressionRecord, dataset: Dataset,
     check_record_ids(record, dataset.m)
     effective = WeakLearnerSpec(spec.learner, int(config.m0))
     audit_log = BrgAuditLog()
-    hint_result = replay_initial_hint(dataset, effective, config.p,
-                                      record.group("hint").slots, gamma=config.gamma)
+    hint_result = replay_initial_hint(dataset, effective, config.p, record.group("hint").slots,
+                                      gamma=config.gamma, draws=record.group("hint").draws)
 
     def phase_runner(j, mu_j):
         group = record.group(f"phase-{j}")
         result = replay_hedge(dataset, mu_j, effective,
                               [s.indices for s in group.slots], config.eta,
                               gamma=config.gamma, audit_log=audit_log,
-                              audit_tag=f"phase{j}:", where=group.tag)
-        return result, group.slots
+                              audit_tag=f"phase{j}:", where=group.tag, draws=group.draws)
+        return result, group
 
     res = _boost_core(dataset, effective, config, hint_result, phase_runner, audit_log)
     check_rebuilt(record, res.record)

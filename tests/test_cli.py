@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from listboost import InvalidParams
+from listboost import InvalidParams, generalization_bound, recursive_boost
 from listboost.cli import main
+from tests.conftest import bench_workloads
 
 
 def _lines(capsys):
@@ -48,7 +49,7 @@ def test_boost_roundtrip(planted_files, tmp_path, capsys):
     assert row["audit_pass_rate"] == 1.0
     assert row["r"] >= 1
     blob = json.loads(rec.read_text())
-    assert blob["format"] == "listboost-record/1"
+    assert blob["format"] == "listboost-record/2"
     assert blob["pipeline"] == "boost"
     assert row["denominators"] == blob["meta"]["denominators"]
     assert len(row["denominators"]) == row["phases"]
@@ -160,6 +161,22 @@ def test_compress_bound(capsys, tmp_path, planted_files):
     rc = main(["compress-bound", "--r", "60", "--m", "60"])
     assert rc == 1
     assert "error" in _lines(capsys)[-1]
+
+
+def test_compress_bound_reports_slots_and_kappa_of_a_record(monkeypatch, tmp_path, capsys):
+    # The full boost-erm seed-0 record: 349 rounds of m0 = 8 indices draw 9
+    # distinct slots, so r = 2,792 and kappa = 72; epsilon comes from r.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.SIZES["boost-erm"])
+    rec = tmp_path / "record.json"
+    recursive_boost(inp.dataset, inp.spec, inp.config).record.dump(rec)
+    assert main(["compress-bound", "--record", str(rec), "--m", "100000"]) == 0
+    row = _lines(capsys)[-1]
+    assert (row["r"], row["slots"], row["kappa"]) == (2792, 9, 72)
+    assert row["epsilon"] == generalization_bound(2792, 100000, 0.05)
+    assert main(["compress-bound", "--record", str(rec), "--m", "200"]) == 1
+    row = _lines(capsys)[-1]
+    assert (row["error"], row["r"], row["slots"], row["kappa"]) == ("RTooLarge", 2792, 9, 72)
 
 
 def test_experiment_subcommand(tmp_path, capsys):

@@ -103,7 +103,7 @@ def test_record_json_round_trip(tmp_path):
     path = tmp_path / "rec.json"
     rec.dump(path)
     raw = json.loads(path.read_text())
-    assert raw["format"] == "listboost-record/1"
+    assert raw["format"] == "listboost-record/2"
     loaded = CompressionRecord.load(path)
     assert loaded.pipeline == rec.pipeline
     assert loaded.meta == rec.meta

@@ -27,7 +27,7 @@ from listboost import (
     replay_hedge,
     run_hedge,
 )
-from listboost.compression import slot_group
+from listboost.compression import RecordGroup, hedge_group
 from listboost.core import normalize, stable_digest
 from listboost.hedge import ScoreTable, _drawn_indices
 from listboost.weak_learn import WeakHypothesis
@@ -287,10 +287,11 @@ def test_score_rows_match_a_count_over_every_stored_hypothesis(learner_type):
 @pytest.mark.parametrize("learner_type", [ErmFiniteLearner, _RowOrClosureLearner])
 def test_round_slots_hash_each_row_as_its_own_tuple_and_check_every_slot(monkeypatch,
                                                                          learner_type):
-    # A Hedge run's round slots: rounds that repeat a prediction row share one
-    # digest, whether the row came back as the same hypothesis object or as a
-    # fresh closure. The tiny boost-erm input of the benchmark: its five
-    # distinct rows start alike.
+    # A Hedge run keeps one slot per distinct hypothesis object, in first-draw
+    # order, and each round's slot id in draws. Slots that repeat a prediction
+    # row share one digest: a fresh closure over a row seen before gets its own
+    # slot. The tiny boost-erm input of the benchmark: its five distinct rows
+    # start alike.
     workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     ds = inp.dataset
@@ -299,15 +300,23 @@ def test_round_slots_hash_each_row_as_its_own_tuple_and_check_every_slot(monkeyp
                     T=30, eta=0.4, rng=RandomStream(2, ("mixed",)))
     rows = [tuple(row) for row in res.score.predictions.tolist()]
     assert len(set(rows)) == 5 and len({row[:5] for row in rows}) == 1
-    slots = slot_group("rounds", res.round_indices, res.score.predictions).slots
-    assert [s.pred_hash for s in slots] == [stable_digest(row) for row in rows]
-    assert [s.indices for s in slots] == res.round_indices
-    repeated = Counter(rows).most_common(1)[0][0]
-    at = [t for t, row in enumerate(rows) if row == repeated]
-    assert len(at) >= 3
-    assert slot_group("rounds", res.round_indices, res.score.predictions, slots).slots == slots
-    for t in at:  # only this one of the identical rows is tampered
+    group = hedge_group("rounds", res)
+    slots, draws = group.slots, group.draws
+    assert len(draws) == 30 and len(slots) == len(res.score.distinct)
+    assert list(dict.fromkeys(draws)) == list(range(len(slots)))
+    assert [res.score.hypotheses[t] for t in map(draws.index, range(len(slots)))] == \
+        list(res.score.distinct)
+    assert [s.indices for s in slots] == [res.round_indices[draws.index(n)]
+                                          for n in range(len(slots))]
+    assert [slots[n].pred_hash for n in draws] == [stable_digest(row) for row in rows]
+    assert group.size() == 30 * 10
+    assert hedge_group("rounds", res, group) == group
+    slot_rows = [rows[draws.index(n)] for n in range(len(slots))]
+    repeated = Counter(slot_rows).most_common(1)[0][0]
+    at = [n for n, row in enumerate(slot_rows) if row == repeated]
+    assert len(at) >= (3 if learner_type is _RowOrClosureLearner else 1)
+    for n in at:  # only this one of the slots with identical rows is tampered
         tampered = list(slots)
-        tampered[t] = type(slots[t])(slot=t, indices=slots[t].indices, pred_hash="0" * 24)
-        with pytest.raises(NonDeterministicLearner, match=f"^rounds slot {t}:"):
-            slot_group("rounds", res.round_indices, res.score.predictions, tampered)
+        tampered[n] = type(slots[n])(slot=n, indices=slots[n].indices, pred_hash="0" * 24)
+        with pytest.raises(NonDeterministicLearner, match=f"^rounds slot {n}:"):
+            hedge_group("rounds", res, RecordGroup("rounds", tampered, draws))

@@ -86,7 +86,8 @@ def test_replay_matches_and_detects_tampering(planted):
     fc, ds = planted
     spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=7)
     res = build_initial_hint(ds, spec, p=6, rng=RandomStream(9, ("hint",)))
-    rep = replay_initial_hint(ds, spec, p=6, recorded_slots=res.record_group.slots)
+    rep = replay_initial_hint(ds, spec, p=6, recorded_slots=res.record_group.slots,
+                              draws=res.record_group.draws)
     assert rep.rounds_run == res.rounds_run
     assert rep.covered_all == res.covered_all
     for x in ds.unique_instances:

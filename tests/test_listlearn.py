@@ -104,11 +104,12 @@ def test_weak_to_list_replay_and_tamper(planted):
 
     loaded = type(res.record).from_json_dict(res.record.to_json_dict())
     slots = loaded.group("rounds").slots
-    slots[3] = type(slots[3])(slot=3, indices=slots[3].indices, pred_hash="bad")
+    last = len(slots) - 1
+    slots[last] = type(slots[last])(slot=last, indices=slots[last].indices, pred_hash="bad")
     with pytest.raises(NonDeterministicLearner):
         replay_weak_to_list(loaded, ds, spec)
 
-    del slots[3:]
+    del slots[last:]
     with pytest.raises(InvalidParams, match="rounds"):
         replay_weak_to_list(loaded, ds, spec)
 
@@ -220,6 +221,21 @@ def test_list_boost_end_to_end(planted):
     assert evaluate_list_error(res.mu, ds) == 0.0
 
 
+def test_list_boost_record_replays_and_a_format_1_one_is_refused(planted):
+    # ListDerivedWeakLearner seeds each call from its sample's key ids and labels
+    # as bytes; a /1 record was seeded from their reprs, so replay refuses it.
+    fc, _ = planted
+    ds = planted_dataset(fc, m=200, seed=12)
+    res = list_boost(ds, ErmListLearner(fc, k=2), k0=2, eps0=0.25, delta=0.3, seed=0, T=20)
+    learner = ListDerivedWeakLearner(ErmListLearner(fc, k=2), 2, 0.25, 0.3, base_seed=0)
+    spec = WeakLearnerSpec(learner, res.inner.record.meta["m0"])
+    rep = replay_weak_to_list(res.inner.record, ds, spec)
+    assert [rep.mu(x) for x in fc.columns] == [res.mu(x) for x in fc.columns]
+    res.inner.record.format = "listboost-record/1"
+    with pytest.raises(NonDeterministicLearner, match="no longer seeds"):
+        replay_weak_to_list(res.inner.record, ds, spec)
+
+
 def test_evaluate_list_error_counts_misses():
     ds = make_dataset([("a", 0), ("b", 1), ("c", 0), ("d", 1)], alphabet=(0, 1))
     mu = lambda x: (0,)
@@ -227,9 +243,9 @@ def test_evaluate_list_error_counts_misses():
 
 
 @pytest.mark.parametrize("seed, sha256", [
-    (0, "708a148c5f978300ab0ff5f7b3f8a8112ba10eb86fd2e8d851ce11659047ce15"),
-    (5, "c8076d0d6345bc98e7bb4326b6da31afbd6df381b45f76a417a6ec04b793038d"),
-])
+    (0, "f315ee3d5696f1ed92a11cec760f60d2572fec136a9db0e09228e74665dcc39f"),
+    (5, "7be6940c85b219365ad5c12e6072129d523d6ba4b62ade6c07fc19585dd1526f"),
+], ids=["seed0", "seed5"])
 def test_tiny_weak_to_list_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
     # A change that claims "records unchanged" keeps these digests; one that
     # changes the record on purpose recomputes them and says why. The tiny

@@ -13,6 +13,7 @@ from listboost import (
     BoostConfig,
     BrgAuditLog,
     CalibratedBrgOracle,
+    CallCountingLearner,
     ErmFiniteLearner,
     GammaExhausted,
     InvalidParams,
@@ -248,18 +249,66 @@ def test_replay_rejects_a_phase_shorter_than_T():
 
 def test_replay_rejects_extra_hint_slots(monkeypatch):
     # The tiny boost-erm input of the benchmark, seed 0: its hint empties the
-    # residual in two rounds, so a third recorded slot is never replayed.
+    # residual in two rounds, so a third recorded slot is never replayed, whether
+    # no round draws it or a third round does.
     workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
     loaded = type(res.record).from_json_dict(res.record.to_json_dict())
-    hint_slots = loaded.group("hint").slots
-    assert len(hint_slots) == 2
-    hint_slots.append(type(hint_slots[0])(slot=2, indices=hint_slots[0].indices,
+    hint = loaded.group("hint")
+    assert len(hint.slots) == 2 and hint.draws == [0, 1]
+    hint.slots.append(type(hint.slots[0])(slot=2, indices=hint.slots[0].indices,
                                           pred_hash="deadbeef"))
-    assert (compression_size(res.record), compression_size(loaded)) == (1340, 1350)
-    with pytest.raises(InvalidParams, match="hint"):
+    assert (compression_size(res.record), compression_size(loaded)) == (1340, 1340)
+    with pytest.raises(InvalidParams, match="^hint does not draw each slot, in first-draw order$"):
         replay_boost(loaded, inp.dataset, inp.spec)
+    hint.draws.append(2)
+    assert compression_size(loaded) == 1350
+    with pytest.raises(InvalidParams, match="^record does not match its replay at group 'hint'$"):
+        replay_boost(loaded, inp.dataset, inp.spec)
+    hint.draws[:] = [1, 0, 2]  # every slot drawn, but not in first-draw order
+    with pytest.raises(InvalidParams, match="^hint does not draw each slot, in first-draw order$"):
+        replay_boost(loaded, inp.dataset, inp.spec)
+
+
+@pytest.mark.parametrize("key, value, group", [("eta", 5.0, "phase-1"), ("gamma", 0.99, "hint")])
+def test_replay_refuses_an_edited_eta_or_gamma_by_its_audit_count(monkeypatch, key, value, group):
+    # Replay reuses the recorded samples, so the predictor is unchanged, but the
+    # rebuilt audits fail (pass rate 0.826 at eta=5.0, 0 at gamma=0.99), and
+    # the group's recorded audit pass count no longer matches.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    assert [g.audits_passed for g in res.record.groups] == [2, 132]
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    loaded.meta[key] = value
+    with pytest.raises(InvalidParams, match=f"^record does not match its replay at group "
+                                            f"'{group}'$"):
+        replay_boost(loaded, inp.dataset, inp.spec)
+
+
+@pytest.mark.parametrize("workload, size", [("boost-erm", "SIZES"),
+                                            ("boost-oracle", "TINY_SIZES")])
+def test_replay_trains_each_slot_once(monkeypatch, workload, size):
+    # The ERM learner returns one object per class row, so the 349 rounds of
+    # the full boost-erm seed-0 run hold 9 slots and replay trains 9 times. The
+    # calibrated oracle returns a new object on every call: a slot per round.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.WORKLOADS[workload].build(0, 0, getattr(workloads, size)[workload])
+    spec = WeakLearnerSpec(CallCountingLearner(inp.spec.learner), inp.spec.m0)
+    res = recursive_boost(inp.dataset, spec, inp.config)
+    groups = res.record.groups
+    rounds, slots = sum(len(g.draws) for g in groups), sum(len(g.slots) for g in groups)
+    assert spec.learner.calls == rounds
+    assert compression_size(res.record) == res.record.meta["m0"] * rounds
+    spec.learner.calls = 0
+    reconstruct(res.record, inp.dataset, spec)
+    assert spec.learner.calls == slots
+    if workload == "boost-erm":
+        assert (rounds, slots, compression_size(res.record)) == (349, 9, 2792)
+    else:
+        assert all(g.draws == list(range(len(g.slots))) for g in groups)
+        assert compression_size(res.record) == 8220
 
 
 @pytest.mark.parametrize("m0", [3, 11])
@@ -282,11 +331,12 @@ def test_replay_names_the_phase_round_whose_sample_is_short(monkeypatch):
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
     for tag, at in (("phase-1", 4), ("hint", 1)):
         loaded = type(res.record).from_json_dict(res.record.to_json_dict())
-        slots = loaded.group(tag).slots
+        slots, draws = loaded.group(tag).slots, loaded.group(tag).draws
         slots[at] = type(slots[at])(slot=at, indices=slots[at].indices[:-1],
                                     pred_hash=slots[at].pred_hash)
+        first = draws.index(at) + 1  # the round that first draws the slot
         with pytest.raises(InvalidParams,
-                           match=f"^{tag} round {at + 1} has 9 indices, not m0=10$"):
+                           match=f"^{tag} round {first} has 9 indices, not m0=10$"):
             replay_boost(loaded, inp.dataset, inp.spec)
 
 
@@ -334,9 +384,9 @@ def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeyp
 
 
 @pytest.mark.parametrize("seed, sha256", [
-    (0, "df0780c24d08093f1d41a0aab042215cfd9242b024423bda98148ef669479427"),
-    (5, "528373682e15ec1ff57409a9dbb5a0634874f7b5ea6eb95a0780612781872f2a"),
-])
+    (0, "428384f9ea9fd6f1f4b809c506d70aed5e216ddf7b3a4d9e43290f76ff809d6a"),
+    (5, "3ab1812ec709f1d27928c5cb0c803aa7af4a2020bb6528f775cad41d5aefc80d"),
+], ids=["seed0", "seed5"])
 def test_tiny_erm_boost_record_bytes_are_pinned(monkeypatch, tmp_path, seed, sha256):
     # A change that claims "records unchanged" keeps these digests; one that
     # changes the record on purpose recomputes them and says why.
@@ -358,7 +408,7 @@ def test_a_record_trained_when_each_round_seeded_its_own_generator_replays_bit_e
     workloads = bench_workloads(monkeypatch)
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     record = CompressionRecord.load(fixture)
-    assert RECORD_FORMAT == "listboost-record/1"
+    assert record.format == "listboost-record/1" != RECORD_FORMAT
     rebuilt = reconstruct(record, inp.dataset, spec=inp.spec)
     assert rebuilt.audit_log.entries and rebuilt.audit_log.all_passed
     assert rebuilt.consistent_on_train

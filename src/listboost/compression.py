@@ -184,8 +184,13 @@ def read_meta(record: CompressionRecord, keys) -> dict:
 
 
 def check_record_ids(record: CompressionRecord, m: int) -> None:
-    """InvalidParams unless each slot index is in [0, m) and each draw names a slot."""
+    """InvalidParams unless each slot index is in [0, m) and each draw names a slot, and
+    unless each group of a boost or list-boost record (each one a Hedge run's) has its
+    draws, where the record is of the current format (/1 wrote them without)."""
+    hedge = record.pipeline in ("boost", "list-boost") and record.format == RECORD_FORMAT
     for g in record.groups:
+        if hedge and g.draws is None:
+            raise InvalidParams(f"group {g.tag!r} of a {RECORD_FORMAT} record has no draws")
         bad = next(((s.slot, i) for s in g.slots for i in s.indices if not 0 <= i < m), None)
         if bad:
             raise InvalidParams(f"group {g.tag!r} has a slot index outside [0, {m}): "

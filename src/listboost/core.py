@@ -184,7 +184,8 @@ def normalize(weights) -> ExampleDistribution:
     rounds to 1.0. That entry carries the rounding of all the others, so it
     can sit a few 1e-16 (absolute) from its exact share. A vector whose
     correctly rounded sum already is 1.0 is returned unchanged, so
-    renormalizing a result is the identity, bit for bit.
+    renormalizing a result is the identity, bit for bit. The vector is the
+    one-row case of ``normalize_rows``.
 
     Raises InvalidWeight for a negative, NaN or infinite entry, or for finite
     weights whose total overflows float64, and AllZeroWeights if all are zero.
@@ -192,25 +193,46 @@ def normalize(weights) -> ExampleDistribution:
     w = np.asarray(weights, dtype=np.float64)
     if w.ndim != 1 or w.size == 0:
         raise InvalidWeight("weights must be a non-empty 1-d vector")
-    if not w.min() >= 0.0:
-        raise InvalidWeight("weights must be finite and non-negative")
-    with np.errstate(over="ignore"):
-        total = float(w.sum())
-    if not math.isfinite(total):
-        raise InvalidWeight(f"weights must be finite and sum to a finite total, got {total!r}")
-    if total == 0.0:
-        raise AllZeroWeights("cannot normalize an all-zero weight vector")
-    if abs(total - 1.0) <= _SUM_TOLERANCE and math.fsum(w.tolist()) == 1.0:
-        return ExampleDistribution(weights=w)
-    v = w / total
-    top = int(v.argmax())
-    # -fsum(others - 1) is 1 - sum(others) with one rounding
-    v[top] = -1.0
-    v[top] = -math.fsum(memoryview(v))
+    v = normalize_rows(w[None])[0]
     v.setflags(write=False)
     dist = object.__new__(ExampleDistribution)  # v is fresh and meets its checks already
     object.__setattr__(dist, "weights", v)
     return dist
+
+
+def normalize_rows(weights) -> np.ndarray:
+    """Each row of a non-empty 2-d array scaled by ``normalize``'s rule, in a fresh array.
+
+    A row comes out with the same bits as ``normalize`` of that row alone: its
+    total is the same pairwise sum over one contiguous row. The first row that
+    ``normalize`` would refuse raises its error.
+    """
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if w.ndim != 2 or w.size == 0:
+        raise InvalidWeight("weights must be a non-empty 2-d array")
+    with np.errstate(over="ignore", invalid="ignore"):
+        totals = w.sum(axis=1)
+    tot = totals.tolist()
+    # w.min() is NaN if any entry is; past that check no total is NaN, so min(tot) is exact
+    if not (w.min() >= 0.0 and min(tot) > 0.0 and max(tot) < math.inf):
+        low = w.min(axis=1)
+        r = int((~((low >= 0.0) & (totals > 0.0) & (totals < math.inf))).argmax())
+        if not low[r] >= 0.0:
+            raise InvalidWeight("weights must be finite and non-negative")
+        if tot[r] > 0.0:
+            raise InvalidWeight(
+                f"weights must be finite and sum to a finite total, got {tot[r]!r}")
+        raise AllZeroWeights("cannot normalize an all-zero weight vector")
+    v = w / totals[:, None]
+    for r, top in enumerate(v.argmax(axis=1).tolist()):
+        if abs(tot[r] - 1.0) <= _SUM_TOLERANCE and math.fsum(memoryview(w[r])) == 1.0:
+            v[r] = w[r]
+        else:
+            # -fsum(others - 1) is 1 - sum(others) with one rounding
+            row = v[r]
+            row[top] = -1.0
+            row[top] = -math.fsum(memoryview(row))
+    return v
 
 
 def _tag_to_int(tag) -> int:

@@ -16,6 +16,16 @@ in the same table, one round per draw. A run keeps one slot per distinct
 hypothesis object, in first-draw order, and each round's slot id (``draws``);
 ``compression.hedge_group`` writes them as the run's record group.
 
+A round's log-weights are ``levels[counts]``: ``counts`` is how many earlier
+rounds classified each example correctly, and ``levels[n]`` is n repeated
+subtractions of eta. So the round loop runs only the draws and the training,
+in order: training normalizes every round's weights to draw from them, while
+replay trains only the first draw of each slot, and builds that round's
+weights only for a distribution-aware learner. A block pass then builds the
+other rounds' weights from their counts (``core.normalize_rows``) and
+computes every round's alpha, coverage and audit, a bounded block of rounds
+at a time, with the same bits as a round-by-round loop.
+
 The same loop runs the residual-peeling hint (``hint.py``) at eta = infinity:
 a correctly classified example's weight drops to zero and stays there, and
 the loop stops early once no weight is left. The public entry points accept
@@ -29,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize
+from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize, normalize_rows
 from .errors import EmptyCandidates, InvalidParams, NonDeterministicLearner
 from .weak_learn import (
     BrgAudit,
@@ -38,6 +48,11 @@ from .weak_learn import (
     WeakLearnerSpec,
     audit_from_arrays,
 )
+
+
+# The most weight cells a block pass of ``_run_rounds`` holds in one array (128 KiB
+# of float64); a longer run is passed in several blocks, so memory does not grow with T.
+_BLOCK_CELLS = 1 << 14
 
 
 class ScoreTable:
@@ -168,73 +183,120 @@ def _check_eta(eta: float):
         raise InvalidParams(f"eta must be a positive finite float, got {eta!r}")
 
 
+def _scaled_weights(levels: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """exp(log-weight - top) per row of ``counts``: the log-weight of an example
+    correct in n earlier rounds is ``levels[n]``, top its row's largest."""
+    log_w = levels[counts]
+    return np.exp(log_w - log_w.max(axis=-1, keepdims=True))
+
+
 def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: int,
                 eta: float, index_source: Callable, gamma: Optional[float],
                 audit_log: Optional[BrgAuditLog], audit_tag: str) -> HedgeResult:
     """Up to T rounds; audit tags are ``audit_tag`` followed by the round number.
 
     With a replay source's ``draws``, round t trains slot ``draws[t-1]`` only at
-    its first draw. With eta = inf a correct example's log-weight becomes -inf,
-    and the loop stops before a round that would find no weight left.
+    its first draw. Rounds wait for their block pass until ``_BLOCK_CELLS``
+    weight cells are pending, the run ends or a round raises. With eta = inf a
+    correct example's log-weight becomes -inf, and the loop stops before a
+    round that would find no weight left.
     """
     if T < 1:
         raise InvalidParams("round count T must be at least 1")
     m = dataset.m
-    labels = dataset.labels
     learner = spec.learner
-    ctx = TrainContext(dataset, mu) if learner.distribution_aware else None
+    aware = learner.distribution_aware
+    ctx = TrainContext(dataset, mu) if aware else None
     covered = ctx.covered if ctx is not None else coverage_mask(dataset, mu)
     replayed = getattr(index_source, "draws", None)
-    log_w = np.zeros(m, dtype=np.float64)
+    # levels[n] is the log-weight of an example correct in n rounds: n subtractions of
+    # eta, in order; a huge eta reaches -inf, as repeated `-= eta` would
+    with np.errstate(over="ignore"):
+        levels = np.subtract.accumulate(np.r_[0.0, np.full(T, eta)])
+    dies = levels[-1] == -np.inf  # else some weight is always left
+    counts = np.zeros(m, dtype=np.int64)  # per example: earlier rounds that had it correct
+    block = min(T, max(1, _BLOCK_CELLS // m))
+    tally = np.empty((block, m), dtype=np.int64)  # per pending round: its counts
+    weights = np.empty((block, m), dtype=np.float64)  # per pending round: its weights
+    pending = []  # per pending round: (its indices, were its weights built in the loop)
     predictions = np.empty((T, m), dtype=np.int64)
     alphas = np.empty(T, dtype=np.float64)
     rounds = []
-    hypotheses = []
     draws = []
     slot_of = {}  # a trained hypothesis, or a replayed slot id -> its slot
     slots = []  # per slot: (hypothesis, the round that first drew it, correct mask)
-    for t in range(1, T + 1):
-        top = log_w.max()
-        if top == -np.inf:
-            break
-        dist = normalize(np.exp(log_w - top))
-        w = dist.weights
-        indices = index_source(t, dist)
-        key = replayed[t - 1] if replayed is not None else None
-        if key not in slot_of:
-            sample = dataset.subset(indices)
-            if learner.distribution_aware:
-                h = learner.train_weighted(ctx, dist, sample, mu)
-            else:
-                h = learner.train(sample, mu)
-            key = h if key is None else key
-            if key not in slot_of:
-                slot_of[key] = len(slots)
-                predictions[t - 1] = h.predictions_for(dataset)
-                slots.append((h, t - 1, predictions[t - 1] == labels))
-        draws.append(slot_of[key])
-        h, first, correct = slots[draws[-1]]
-        predictions[t - 1] = predictions[first]
-        alpha = float(w[correct].sum())
-        audit = None
+
+    def block_pass():
+        first, n = len(rounds), len(pending)
+        if not n:
+            return
+        batch = pending[:]
+        pending.clear()
+        w = weights[:n]
+        todo = [i for i, (_, built) in enumerate(batch) if not built]
+        if todo:
+            w[todo] = normalize_rows(_scaled_weights(levels, tally[todo]))
+        ids = draws[first:first + n]
+        predictions[first:first + n] = predictions[[slots[s][1] for s in ids]]
+        at = {}  # slot id -> the block's rounds that drew it
+        for i, s in enumerate(ids):
+            at.setdefault(s, []).append(i)
+        sums = alphas[first:first + n]
+        for s, rows in at.items():
+            mask = slots[s][2]
+            if len(rows) == 1:
+                sums[rows[0]] = w[rows[0]][mask].sum()
+            else:  # compress gathers in C order, so each row sum is the pairwise w[mask].sum()
+                sums[rows] = w[rows].compress(mask, axis=1).sum(axis=1)
         if gamma is not None:
-            coverage = float(w[covered].sum())
-            audit = audit_from_arrays(alpha, coverage, mu, gamma, tag=f"{audit_tag}{t}")
-            if audit_log is not None:
-                audit_log.append(audit)
-        log_w[correct] -= eta
-        alphas[t - 1] = alpha
-        hypotheses.append(h)
-        rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(indices.tolist()),
-                                 audit=audit))
-    predictions = predictions[:len(rounds)]
+            coverage = w.compress(covered, axis=1).sum(axis=1).tolist()
+        for i, (indices, _) in enumerate(batch):
+            t, alpha, audit = first + i + 1, float(alphas[first + i]), None
+            if gamma is not None:
+                audit = audit_from_arrays(alpha, coverage[i], mu, gamma, tag=f"{audit_tag}{t}")
+                if audit_log is not None:
+                    audit_log.append(audit)
+            rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(indices.tolist()),
+                                     audit=audit))
+
+    try:
+        for t in range(1, T + 1):
+            if dies and levels[counts.min()] == -np.inf:
+                break
+            dist = normalize(_scaled_weights(levels, counts)) if replayed is None else None
+            indices = index_source(t, dist)
+            key = replayed[t - 1] if replayed is not None else None
+            if key not in slot_of:
+                sample = dataset.subset(indices)
+                if aware:
+                    if dist is None:
+                        dist = normalize(_scaled_weights(levels, counts))
+                    h = learner.train_weighted(ctx, dist, sample, mu)
+                else:
+                    h = learner.train(sample, mu)
+                key = h if key is None else key
+                if key not in slot_of:
+                    slot_of[key] = len(slots)
+                    predictions[t - 1] = h.predictions_for(dataset)
+                    slots.append((h, t - 1, predictions[t - 1] == dataset.labels))
+            draws.append(slot_of[key])
+            if dist is None:
+                tally[len(pending)] = counts
+            else:
+                weights[len(pending)] = dist.weights
+            pending.append((indices, dist is not None))
+            counts += slots[draws[-1]][2]
+            if len(pending) == block:
+                block_pass()
+    finally:
+        block_pass()  # a round that raised leaves the rounds before it passed and audited
     return HedgeResult(
-        score=ScoreTable(hypotheses, dataset, predictions),
+        score=ScoreTable([slots[s][0] for s in draws], dataset, predictions[:len(rounds)]),
         rounds=rounds,
         eta=eta,
-        final_log_weights=log_w,
+        final_log_weights=levels[counts],
         alphas=alphas[:len(rounds)],
-        correct_counts=(predictions == labels).sum(axis=0),
+        correct_counts=counts,
         draws=draws,
     )
 

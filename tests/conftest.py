@@ -51,3 +51,12 @@ def planted_dataset(fc, m, seed, target_row=0):
     xs = gen.integers(0, fc.n, size=m)
     pairs = [(fc.columns[int(x)], int(fc.table[target_row, int(x)])) for x in xs]
     return make_dataset(pairs, alphabet=fc.alphabet)
+
+
+def rewrite_as_format_1_layout(group):
+    """A Hedge record group rewritten as format /1 wrote it: a slot per round, no draws,
+    no audit pass count."""
+    slots = [group.slots[d] for d in group.draws]
+    group.slots = [type(s)(slot=t, indices=s.indices, pred_hash=s.pred_hash)
+                   for t, s in enumerate(slots)]
+    group.draws = group.audits_passed = None

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from listboost.core import (
     as_instance_key,
     make_dataset,
     normalize,
+    normalize_rows,
     ordered_dedup,
     stable_digest,
 )
@@ -124,6 +126,61 @@ def test_normalize_is_deterministic_and_ulp_stable(ws):
     assert math.fsum(once) == 1.0
     twice = normalize(once).weights
     assert np.array_equal(twice, once)
+
+
+def _weight_row(m):
+    """One row of m weights: scaled from 1e-300 to 1e300, with exact zeros; a row that
+    already sums to 1; a row of 0s and 1s (Hedge at eta = inf); or one that may be refused."""
+    scaled = st.tuples(st.lists(st.one_of(st.just(0.0), st.floats(1.0, 10.0)),
+                                min_size=m, max_size=m),
+                       st.integers(-300, 300)).map(lambda p: [v * 10.0 ** p[1] for v in p[0]])
+    summed = scaled.filter(any).map(lambda ws: normalize(ws).weights.tolist())
+    peeled = st.lists(st.sampled_from([0.0, 1.0]), min_size=m, max_size=m)
+    refused = st.lists(st.sampled_from([0.0, 1.0, -1.0, math.nan, math.inf, 1e308]),
+                       min_size=m, max_size=m)
+    return st.one_of(scaled, summed, peeled, refused)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_rows_is_normalize_of_each_row_bit_for_bit(data):
+    m = data.draw(st.integers(1, 30), label="m")
+    w = np.array(data.draw(st.lists(_weight_row(m), min_size=1, max_size=6), label="rows"))
+    given_bytes = w.tobytes()
+    expected = []
+    for row in w:
+        try:
+            expected.append(normalize(row).weights)
+        except (InvalidWeight, AllZeroWeights) as exc:  # the first refused row names the error
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                normalize_rows(w)
+            break
+    else:
+        got = normalize_rows(w)
+        assert got.tobytes() == np.array(expected).tobytes()
+        for row, out in zip(w, got):  # the rule itself, read off each row
+            assert math.fsum(out.tolist()) == 1.0
+            if math.fsum(row.tolist()) == 1.0 and abs(row.sum() - 1.0) <= 1e-12:
+                assert out.tobytes() == row.tobytes()
+            else:
+                share = row / row.sum()
+                others = np.arange(m) != share.argmax()
+                assert np.array_equal(out[others], share[others])
+    assert w.tobytes() == given_bytes
+
+
+@pytest.mark.parametrize("rows, error, message", [
+    ([[0.0, 0.0], [1.0, math.nan]], AllZeroWeights, "cannot normalize an all-zero"),
+    ([[1.0, math.nan], [0.0, 0.0]], InvalidWeight, "finite and non-negative"),
+    ([[1.0, 2.0], [1e308, 1e308], [-1.0, 1.0]], InvalidWeight, "finite total, got inf"),
+    ([1.0, 2.0], InvalidWeight, "non-empty 2-d array"),
+    (np.zeros((2, 0)), InvalidWeight, "non-empty 2-d array"),
+])
+def test_normalize_rows_refuses_as_normalize_does_at_the_first_bad_row(rows, error, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=message):
+            normalize_rows(rows)
 
 
 def test_random_stream_children_are_reproducible():

@@ -320,3 +320,57 @@ def test_round_slots_hash_each_row_as_its_own_tuple_and_check_every_slot(monkeyp
         tampered[n] = type(slots[n])(slot=n, indices=slots[n].indices, pred_hash="0" * 24)
         with pytest.raises(NonDeterministicLearner, match=f"^rounds slot {n}:"):
             hedge_group("rounds", res, RecordGroup("rounds", tampered, draws))
+
+
+class _Stop(Exception):
+    pass
+
+
+class _StopOnCall(ErmFiniteLearner):
+    """ERM that raises on its ``stop``-th training call."""
+
+    def __init__(self, finite_class, stop):
+        super().__init__(finite_class)
+        self.stop, self.calls = stop, 0
+
+    def train(self, sample, mu=None):
+        self.calls += 1
+        if self.calls == self.stop:
+            raise _Stop(self.calls)
+        return super().train(sample, mu)
+
+
+def test_a_round_that_raises_leaves_the_rounds_before_it_audited_in_training_and_replay(
+        monkeypatch):
+    # The full boost-erm seed-0 input, one Hedge run against a two-label hint.
+    # The last slot is first drawn mid-run, at round r: training calls the
+    # learner there for the r-th time, replay for the (slot + 1)-th. Either way
+    # the log holds exactly the audits of rounds 1..r-1, as the whole run's.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.SIZES["boost-erm"])
+    ds, cfg, fc = inp.dataset, inp.config, inp.spec.learner.finite_class
+    mu = ListFunction.explicit({x: (y, (y + 1) % 8) for x, y in zip(ds.instances, ds.labels)},
+                               declared_size=2, name="pairs")
+    whole = BrgAuditLog()
+    res = run_hedge(ds, mu, inp.spec, cfg.T, cfg.eta, RandomStream(1, ("h",)), gamma=cfg.gamma,
+                    audit_log=whole)
+    group = hedge_group("rounds", res)
+    last = len(group.slots) - 1
+    r = group.draws.index(last) + 1
+    assert last >= 2 and 1 < r < cfg.T and len(whole) == cfg.T
+    logs = []
+    for stop, run in ((r, lambda spec, log: run_hedge(ds, mu, spec, cfg.T, cfg.eta,
+                                                        RandomStream(1, ("h",)),
+                                                        gamma=cfg.gamma, audit_log=log)),
+                      (last + 1, lambda spec, log: replay_hedge(
+                          ds, mu, spec, [s.indices for s in group.slots], cfg.eta,
+                          gamma=cfg.gamma, audit_log=log, draws=group.draws))):
+        logs.append(BrgAuditLog())
+        with pytest.raises(_Stop):
+            run(WeakLearnerSpec(_StopOnCall(fc, stop), inp.spec.m0), logs[-1])
+    assert [repr(a) for a in logs[0].entries] == [repr(a) for a in logs[1].entries] == \
+        [repr(a) for a in whole.entries[:r - 1]]
+    replayed = replay_hedge(ds, mu, inp.spec, [s.indices for s in group.slots], cfg.eta,
+                            gamma=cfg.gamma, draws=group.draws)
+    assert replayed.alphas.tobytes() == res.alphas.tobytes()
+    assert replayed.final_log_weights.tobytes() == res.final_log_weights.tobytes()

@@ -29,7 +29,8 @@ from listboost import (
 )
 from listboost.core import make_dataset
 from listboost.listlearn import conversion_budgets
-from tests.conftest import bench_workloads, build_class, planted_dataset
+from tests.conftest import (bench_workloads, build_class, planted_dataset,
+                            rewrite_as_format_1_layout)
 
 
 def test_smallest_k_frozen_values():
@@ -112,6 +113,19 @@ def test_weak_to_list_replay_and_tamper(planted):
     del slots[last:]
     with pytest.raises(InvalidParams, match="rounds"):
         replay_weak_to_list(loaded, ds, spec)
+
+
+def test_weak_to_list_group_without_draws_is_refused_in_a_current_format_record(planted):
+    fc, ds = planted
+    spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=8)
+    res = weak_to_list(ds, spec, gamma=0.6, T=40, seed=9)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    rewrite_as_format_1_layout(loaded.group("rounds"))
+    with pytest.raises(InvalidParams, match="^group 'rounds' of a listboost-record/2 record "
+                                            "has no draws$"):
+        replay_weak_to_list(loaded, ds, spec)
+    loaded.format = "listboost-record/1"
+    assert replay_weak_to_list(loaded, ds, spec).record.to_json_dict() == loaded.to_json_dict()
 
 
 def test_weak_to_list_replay_rejects_an_edited_m0(planted):

@@ -29,10 +29,12 @@ from listboost import (
     recursive_boost,
     replay_boost,
 )
+from listboost import hedge, hint
 from listboost.compression import RECORD_FORMAT, CompressionRecord, reconstruct
 from listboost.recursive import _phase_denominator
 from listboost.weak_learn import RowHypothesis
-from tests.conftest import bench_workloads, build_class, planted_dataset
+from tests.conftest import (bench_workloads, build_class, planted_dataset,
+                            rewrite_as_format_1_layout)
 
 
 def test_schedule_constants_frozen():
@@ -287,6 +289,39 @@ def test_replay_refuses_an_edited_eta_or_gamma_by_its_audit_count(monkeypatch, k
         replay_boost(loaded, inp.dataset, inp.spec)
 
 
+@pytest.mark.parametrize("tag", ["hint", "phase-1"])
+def test_a_hedge_group_without_draws_is_refused_in_a_current_format_record(monkeypatch, tag):
+    # In the /1 layout a group carries no audit pass count, so with it an
+    # edited eta would replay unnoticed; the current format always writes the
+    # draws, so a record of it without them is refused before any round runs.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    rewrite_as_format_1_layout(loaded.group(tag))
+    assert compression_size(loaded) == compression_size(res.record) == 1340
+    loaded.meta["eta"] = 5.0
+    spec = WeakLearnerSpec(CallCountingLearner(inp.spec.learner), inp.spec.m0)
+    with pytest.raises(InvalidParams, match=f"^group '{tag}' of a listboost-record/2 record "
+                                            "has no draws$"):
+        replay_boost(loaded, inp.dataset, spec)
+    assert spec.learner.calls == 0
+
+
+def test_a_format_1_layout_record_still_replays_as_format_1(monkeypatch, tmp_path):
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    loaded = type(res.record).from_json_dict(res.record.to_json_dict())
+    for group in loaded.groups:
+        rewrite_as_format_1_layout(group)
+    loaded.format = "listboost-record/1"
+    loaded.dump(tmp_path / "given.json")
+    rebuilt = reconstruct(CompressionRecord.load(tmp_path / "given.json"), inp.dataset, inp.spec)
+    rebuilt.record.dump(tmp_path / "rebuilt.json")
+    assert (tmp_path / "rebuilt.json").read_bytes() == (tmp_path / "given.json").read_bytes()
+
+
 @pytest.mark.parametrize("workload, size", [("boost-erm", "SIZES"),
                                             ("boost-oracle", "TINY_SIZES")])
 def test_replay_trains_each_slot_once(monkeypatch, workload, size):
@@ -309,6 +344,75 @@ def test_replay_trains_each_slot_once(monkeypatch, workload, size):
     else:
         assert all(g.draws == list(range(len(g.slots))) for g in groups)
         assert compression_size(res.record) == 8220
+
+
+def _hedge_runs(monkeypatch) -> list:
+    """Every Hedge run's result from now on, in run order: the hint's, then each phase's."""
+    runs = []
+    real = hedge._run_rounds
+
+    def spy(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(hedge, "_run_rounds", spy)
+    monkeypatch.setattr(hint, "_run_rounds", spy)
+    return runs
+
+
+def _bits(result) -> tuple:
+    return (result.alphas.tobytes(), result.final_log_weights.tobytes(),
+            result.correct_counts.tolist(), result.score.predictions.tobytes(), result.draws,
+            [(r.t, repr(r.alpha), repr(r.audit)) for r in result.rounds])
+
+
+@pytest.mark.parametrize("workload, size, seed", [
+    *[("boost-erm", "SIZES", seed) for seed in range(4)],
+    ("boost-oracle", "TINY_SIZES", 0),
+    ("boost-erm", "TINY_SIZES", 0),  # its hint stops after 2 of its 8 rounds
+])
+def test_replay_is_training_bit_for_bit(monkeypatch, workload, size, seed):
+    # Replay trains each slot once and passes the rest of the rounds in
+    # blocks; every Hedge run it rebuilds equals the trained one bit for bit:
+    # alphas, final log-weights, votes, draws and every round's audit. (A
+    # round that repeats a slot replays the slot's sample, not its own draw.)
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.WORKLOADS[workload].build(seed, 0, getattr(workloads, size)[workload])
+    runs = _hedge_runs(monkeypatch)
+    log = BrgAuditLog()
+    res = recursive_boost(inp.dataset, inp.spec, inp.config, audit_log=log)
+    trained = [_bits(r) for r in runs]
+    runs.clear()
+    rebuilt = reconstruct(res.record, inp.dataset, inp.spec)
+    assert [_bits(r) for r in runs] == trained
+    # replay audits the hint's rounds in its result only, the phases' in its log too
+    assert [repr(a) for a in rebuilt.audit_log.entries] == \
+        [repr(a) for a in log.entries if not a.tag.startswith("hint:")]
+    assert len(runs) == 1 + res.chain.realized_phases
+    if size == "TINY_SIZES" and workload == "boost-erm":
+        assert res.hint_result.rounds_run == 2 < inp.config.p
+
+
+def test_replay_builds_weight_rows_in_block_passes(monkeypatch):
+    # 349 rounds in 9 slots: replay trains 9 times and builds no round's
+    # weights alone, only a block of at most _BLOCK_CELLS // m rows at a time.
+    workloads = bench_workloads(monkeypatch)
+    inp = workloads.build_boost_erm(0, 0, workloads.SIZES["boost-erm"])
+    res = recursive_boost(inp.dataset, inp.spec, inp.config)
+    shapes = []
+    for name in ("normalize", "normalize_rows"):
+        real = getattr(hedge, name, None)
+        if real is not None:
+            monkeypatch.setattr(hedge, name,
+                                lambda w, real=real: shapes.append(np.shape(w)) or real(w))
+    reconstruct(res.record, inp.dataset, inp.spec)
+    groups = res.record.groups
+    cap = max(1, getattr(hedge, "_BLOCK_CELLS", 1) // inp.dataset.m)
+    blocks = sum(-(-len(g.draws) // cap) for g in groups)
+    slots = sum(len(g.slots) for g in groups)
+    assert (sum(len(g.draws) for g in groups), slots) == (349, 9)
+    assert len(shapes) <= slots + blocks < 349
+    assert all(len(shape) == 2 and shape[0] <= cap for shape in shapes)
 
 
 @pytest.mark.parametrize("m0", [3, 11])

@@ -163,12 +163,11 @@ def slot_group(tag: str, indices, rows, recorded=(), draws=None) -> RecordGroup:
 
 
 def hedge_group(tag: str, result, recorded: Optional[RecordGroup] = None) -> RecordGroup:
-    """A ``hedge.HedgeResult``'s group: each slot's sample and row from the round that
-    first drew it, the ``draws`` and the audit pass count. Replay passes the ``recorded``
-    group; one without draws (format /1) is rebuilt as it was, without either."""
-    first = [result.draws.index(s) for s in range(max(result.draws) + 1)]
-    group = slot_group(tag, [result.rounds[t].indices for t in first],
-                       result.score.predictions[first], recorded.slots if recorded else ())
+    """A ``hedge.HedgeResult``'s group: each slot's sample and prediction row, the
+    ``draws`` and the audit pass count. Replay passes the ``recorded`` group; one without
+    draws (format /1) is rebuilt as it was, without either."""
+    group = slot_group(tag, result.samples, result.score.rows,
+                       recorded.slots if recorded else ())
     if recorded is None or recorded.draws is not None:
         group.draws, audits = list(result.draws), result.audits
         group.audits_passed = sum(a.passed for a in audits) if audits else None

@@ -7,14 +7,15 @@ arrays on the dataset's key table, no per-example objects), train, then
 multiply every correctly-classified example's weight by exp(-eta). The
 per-round accuracy alpha_t is always measured on the full weighted dataset,
 not the drawn sample; a hypothesis is evaluated once per distinct training
-instance. The score table keeps, per instance, one row of vote counts
-indexed by label: how many rounds voted that label there. Row sums equal the
-round count exactly because every hypothesis casts one vote. Elsewhere each
-distinct hypothesis object is asked once and its vote counted once per round
-that returned it. The wrong-label game of ``oig`` counts its bag's guesses
-in the same table, one round per draw. A run keeps one slot per distinct
-hypothesis object, in first-draw order, and each round's slot id (``draws``);
-``compression.hedge_group`` writes them as the run's record group.
+instance. A run is its slots, one per distinct hypothesis object in
+first-draw order (its sample, its prediction row and its correct mask), and
+the slot id each round drew (``draws``); nothing else is kept per round but
+alpha and the audit. The score table keeps, per instance, one row of vote
+counts indexed by label, where each slot's vote counts once per round that
+drew it, so row sums equal the round count exactly. The wrong-label game of
+``oig`` counts its bag's guesses in the same table, one draw per pick.
+``compression.hedge_group`` writes the slots and draws as the run's record
+group.
 
 A round's log-weights are ``levels[counts]``: ``counts`` is how many earlier
 rounds classified each example correctly, and ``levels[n]`` is n repeated
@@ -41,13 +42,7 @@ import numpy as np
 
 from .core import Dataset, ListFunction, RandomStream, coverage_mask, normalize, normalize_rows
 from .errors import EmptyCandidates, InvalidParams, NonDeterministicLearner
-from .weak_learn import (
-    BrgAudit,
-    BrgAuditLog,
-    TrainContext,
-    WeakLearnerSpec,
-    audit_from_arrays,
-)
+from .weak_learn import BrgAuditLog, TrainContext, WeakLearnerSpec, audit_from_arrays
 
 
 # The most weight cells a block pass of ``_run_rounds`` holds in one array (128 KiB
@@ -56,39 +51,45 @@ _BLOCK_CELLS = 1 << 14
 
 
 class ScoreTable:
-    """Vote counts H(x, y) accumulated over the trained hypotheses or the game's guessers.
+    """Vote counts H(x, y) of a run's slots, each slot's vote counted once per draw.
 
-    One memo maps each instance to an int64 row indexed by label, at least
-    as long as the alphabet. Every training instance's row is counted up
-    front from the prediction matrix; any other instance's row is counted
-    the first time it is asked for, calling ``predict`` once per distinct
-    hypothesis object and repeating its vote by that object's multiplicity.
+    ``slots`` are the distinct hypotheses (or the game's guessers), ``draws``
+    each round's slot id, and ``rows[s]`` slot s's prediction per training
+    index. One memo maps each instance to an int64 row indexed by label, at
+    least as long as the alphabet. Every training instance's row is counted
+    up front from the slot rows, weighted by each slot's multiplicity; any
+    other instance's row is counted the first time it is asked for, calling
+    ``predict`` once per drawn slot.
     """
 
-    def __init__(self, hypotheses, dataset: Dataset, predictions: np.ndarray):
-        self.hypotheses = list(hypotheses)
-        self.predictions = predictions  # shape (rounds run, m)
-        slot = {h: i for i, h in enumerate(dict.fromkeys(self.hypotheses))}
-        self.distinct = tuple(slot)  # in first-seen order
-        self._multiplicity = np.bincount([slot[h] for h in self.hypotheses])
+    def __init__(self, slots, draws, dataset: Dataset, rows: np.ndarray):
+        self.slots = tuple(slots)
+        self.draws = draws
+        self.rows = rows  # shape (slots, m)
+        self.multiplicity = np.bincount(draws, minlength=len(self.slots))  # draws per slot
+        self._drawn = np.flatnonzero(self.multiplicity).tolist()
         n_inst = len(dataset.unique_instances)
-        self._width = max(len(dataset.alphabet), int(predictions.max(initial=-1)) + 1)
-        cells = predictions[:, dataset.first_index]  # a copy, then (instance, label) cell ids
+        self._width = max(len(dataset.alphabet), int(rows.max(initial=-1)) + 1)
+        cells = rows[:, dataset.first_index]  # a copy, then (instance, label) cell ids
         cells += self._width * np.arange(n_inst, dtype=np.int64)
-        rows = np.bincount(cells.ravel(), minlength=n_inst * self._width)
-        self._rows = dict(zip(dataset.unique_instances,
-                              rows.reshape(n_inst, self._width)))
+        counts = np.zeros(n_inst * self._width, dtype=np.int64)
+        np.add.at(counts, cells, self.multiplicity[:, np.newaxis])
+        self._rows = dict(zip(dataset.unique_instances, counts.reshape(n_inst, self._width)))
+
+    # each round's prediction row, built when read (the benchmark's hedge-floor check reads it)
+    predictions = property(lambda self: self.rows[self.draws])
 
     @property
     def total(self) -> int:
-        return len(self.hypotheses)
+        return len(self.draws)
 
     def counts(self, x) -> np.ndarray:
         """Vote count per label at instance x; the row sums to ``total``."""
         row = self._rows.get(x)
         if row is None:
-            votes = np.array([h.predict(x) for h in self.distinct], dtype=np.int64)
-            row = np.bincount(np.repeat(votes, self._multiplicity), minlength=self._width)
+            votes = np.array([self.slots[s].predict(x) for s in self._drawn], dtype=np.int64)
+            row = np.bincount(votes.repeat(self.multiplicity[self._drawn]),
+                              minlength=self._width)
             self._rows[x] = row
         return row
 
@@ -97,30 +98,19 @@ class ScoreTable:
 
 
 @dataclass
-class HedgeRound:
-    t: int
-    alpha: float
-    indices: tuple
-    audit: Optional[BrgAudit]
-
-
-@dataclass
 class HedgeResult:
     score: ScoreTable
-    rounds: list
     eta: float
     final_log_weights: np.ndarray
     alphas: np.ndarray
     correct_counts: np.ndarray  # H(x_i, y_i) per training index
+    samples: list  # per slot: the indices it was trained on
     draws: list  # the slot id of each round; slot ids count up in first-draw order
+    audits: list  # per round, when audited
 
-    @property
-    def round_indices(self) -> list:
-        return [r.indices for r in self.rounds]
-
-    @property
-    def audits(self) -> list:
-        return [r.audit for r in self.rounds if r.audit is not None]
+    # per round, its slot id and its slot's sample (the benchmark reads both)
+    rounds = property(lambda self: self.draws)
+    round_indices = property(lambda self: [self.samples[s] for s in self.draws])
 
     def regret_bound_rhs(self) -> np.ndarray:
         """Per-example right side: ln(m)/eta + eta*T + H(x_i, y_i)."""
@@ -218,28 +208,26 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
     block = min(T, max(1, _BLOCK_CELLS // m))
     tally = np.empty((block, m), dtype=np.int64)  # per pending round: its counts
     weights = np.empty((block, m), dtype=np.float64)  # per pending round: its weights
-    pending = []  # per pending round: (its indices, were its weights built in the loop)
-    predictions = np.empty((T, m), dtype=np.int64)
+    pending = []  # per pending round: were its weights built in the loop
     alphas = np.empty(T, dtype=np.float64)
-    rounds = []
+    audits = []
     draws = []
     slot_of = {}  # a trained hypothesis, or a replayed slot id -> its slot
-    slots = []  # per slot: (hypothesis, the round that first drew it, correct mask)
+    slots = []  # per slot: (hypothesis, sample, correct mask)
+    slot_rows = []  # per slot: its prediction row
 
     def block_pass():
-        first, n = len(rounds), len(pending)
+        first, n = len(draws) - len(pending), len(pending)
         if not n:
             return
-        batch = pending[:]
+        built = pending[:]
         pending.clear()
         w = weights[:n]
-        todo = [i for i, (_, built) in enumerate(batch) if not built]
+        todo = [i for i, b in enumerate(built) if not b]
         if todo:
             w[todo] = normalize_rows(_scaled_weights(levels, tally[todo]))
-        ids = draws[first:first + n]
-        predictions[first:first + n] = predictions[[slots[s][1] for s in ids]]
         at = {}  # slot id -> the block's rounds that drew it
-        for i, s in enumerate(ids):
+        for i, s in enumerate(draws[first:]):
             at.setdefault(s, []).append(i)
         sums = alphas[first:first + n]
         for s, rows in at.items():
@@ -250,14 +238,10 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
                 sums[rows] = w[rows].compress(mask, axis=1).sum(axis=1)
         if gamma is not None:
             coverage = w.compress(covered, axis=1).sum(axis=1).tolist()
-        for i, (indices, _) in enumerate(batch):
-            t, alpha, audit = first + i + 1, float(alphas[first + i]), None
-            if gamma is not None:
-                audit = audit_from_arrays(alpha, coverage[i], mu, gamma, tag=f"{audit_tag}{t}")
+            for t, alpha, cover in zip(range(first + 1, first + n + 1), sums.tolist(), coverage):
+                audits.append(audit_from_arrays(alpha, cover, mu, gamma, tag=f"{audit_tag}{t}"))
                 if audit_log is not None:
-                    audit_log.append(audit)
-            rounds.append(HedgeRound(t=t, alpha=alpha, indices=tuple(indices.tolist()),
-                                     audit=audit))
+                    audit_log.append(audits[-1])
 
     try:
         for t in range(1, T + 1):
@@ -277,27 +261,29 @@ def _run_rounds(dataset: Dataset, mu: ListFunction, spec: WeakLearnerSpec, T: in
                 key = h if key is None else key
                 if key not in slot_of:
                     slot_of[key] = len(slots)
-                    predictions[t - 1] = h.predictions_for(dataset)
-                    slots.append((h, t - 1, predictions[t - 1] == dataset.labels))
+                    slot_rows.append(h.predictions_for(dataset))
+                    slots.append((h, tuple(indices.tolist()), slot_rows[-1] == dataset.labels))
             draws.append(slot_of[key])
             if dist is None:
                 tally[len(pending)] = counts
             else:
                 weights[len(pending)] = dist.weights
-            pending.append((indices, dist is not None))
+            pending.append(dist is not None)
             counts += slots[draws[-1]][2]
             if len(pending) == block:
                 block_pass()
     finally:
         block_pass()  # a round that raised leaves the rounds before it passed and audited
+    hypotheses, samples, _ = zip(*slots)
     return HedgeResult(
-        score=ScoreTable([slots[s][0] for s in draws], dataset, predictions[:len(rounds)]),
-        rounds=rounds,
+        score=ScoreTable(hypotheses, draws, dataset, np.stack(slot_rows)),
         eta=eta,
         final_log_weights=levels[counts],
-        alphas=alphas[:len(rounds)],
+        alphas=alphas[:len(draws)],
         correct_counts=counts,
+        samples=list(samples),
         draws=draws,
+        audits=audits,
     )
 
 

@@ -42,7 +42,7 @@ def default_hint_rounds(m: int, gamma: float) -> int:
 @dataclass
 class HintResult:
     mu: ListFunction
-    hypotheses: list
+    slots: tuple  # the distinct hypotheses, in first-draw order
     record_group: RecordGroup
     residual_sizes: list
     rounds_run: int
@@ -58,26 +58,27 @@ def _hint_core(dataset: Dataset, spec: WeakLearnerSpec, p: int, index_source,
     result = _run_rounds(dataset, universal, spec, p, math.inf, index_source, gamma,
                          audit_log, "hint:j")
     group = hedge_group("hint", result, recorded)
-    distinct = result.score.distinct
-    predictions = result.score.predictions
-    # residual size after each round; the first round starts from all m examples
-    peeled = np.logical_or.accumulate(predictions == dataset.labels, axis=0)
-    left = dataset.m - peeled.sum(axis=1)
+    score = result.score
+    # residual size after each round: slot ids count up in first-draw order, so a
+    # round's residual is the one left after the highest slot drawn so far
+    peeled = np.logical_or.accumulate(score.rows == dataset.labels, axis=0)
+    left = (dataset.m - peeled.sum(axis=1))[np.maximum.accumulate(result.draws)]
     uncovered = tuple(np.flatnonzero(np.isfinite(result.final_log_weights)).tolist())
-    columns = predictions[:, dataset.first_index].T.tolist()
+    # a column deduplicated in order is the same over the slots as over the rounds
+    columns = score.rows[:, dataset.first_index].T.tolist()
     entries = dict(zip(dataset.unique_instances, map(ordered_dedup, columns)))
 
     def extend(x):
-        return ordered_dedup(h.predict(x) for h in distinct)
+        return ordered_dedup(h.predict(x) for h in score.slots)
 
     mu1 = ListFunction.composed(extend, declared_size=p, entries=entries,
                                 name=f"hint[p={p}]")
     return HintResult(
         mu=mu1,
-        hypotheses=result.score.hypotheses,
+        slots=score.slots,
         record_group=group,
         residual_sizes=[dataset.m] + left[:-1].tolist(),
-        rounds_run=len(result.rounds),
+        rounds_run=len(result.alphas),
         covered_all=(len(uncovered) == 0),
         uncovered=uncovered,
         audits=result.audits,

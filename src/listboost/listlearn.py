@@ -84,8 +84,8 @@ def _assemble_weak_to_list(dataset: Dataset, result: HedgeResult, recorded,
                            spec: WeakLearnerSpec, seed: int) -> WeakToListResult:
     """The list and record of a run; replay passes the ``recorded`` group to check."""
     group = hedge_group("rounds", result, recorded)
-    if len(result.rounds) != T:
-        raise InvalidParams(f"record group rounds has {len(result.rounds)} rounds, not T={T}")
+    if len(result.alphas) != T:
+        raise InvalidParams(f"record group rounds has {len(result.alphas)} rounds, not T={T}")
     score = result.score
     mu = ListFunction.tabled(lambda x: _vote_entry(score.counts(x), k, T),
                              dataset.unique_instances, k - 1, f"weak-to-list[k={k}]")

@@ -782,16 +782,16 @@ def _wrong_label_vote(fc: FiniteClass, dataset: Dataset, slot_indices, slot_pred
                       p: int, strategy: str, budget: int):
     """Count the drawn slots' wrong-label guesses; the list drops each instance's plurality.
 
-    The guesses go into a ``hedge.ScoreTable``, one round per draw: counted
-    from the slots' predictions on the sample, and elsewhere by asking each
-    drawn slot's guesser once. The plurality (ties to the lowest label) must
+    The guesses go into a ``hedge.ScoreTable``, each slot's counted once per
+    draw: from the slots' predictions on the sample, and elsewhere by asking
+    each drawn slot's guesser once. The plurality (ties to the lowest label) must
     miss every training label, else GameNotConverged. Returns the largest
     true-label vote mass and the list function.
     """
     guessers = [_guesser(fc, dataset, ix, p, strategy, budget) for ix in slot_indices]
-    score = ScoreTable([guessers[s] for s in draws], dataset,
-                       np.stack(slot_preds)[np.ix_(draws, dataset.group_ids)])
-    max_true_vote = float((score.predictions == dataset.labels).sum(0).max() / len(draws))
+    rows = np.stack(slot_preds)[:, dataset.group_ids]
+    score = ScoreTable(guessers, draws, dataset, rows)
+    max_true_vote = float((score.multiplicity @ (rows == dataset.labels)).max() / len(draws))
 
     def extend(x):
         top = int(score.counts(x).argmax())

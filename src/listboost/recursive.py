@@ -160,8 +160,8 @@ def _boost_core(dataset: Dataset, spec: WeakLearnerSpec, config: BoostConfig,
             break
         result, recorded = phase_runner(j, lists[-1])  # replay's group to check; None in training
         group = hedge_group(f"phase-{j}", result, recorded)
-        if len(result.rounds) != T:
-            raise InvalidParams(f"record group {group.tag} has {len(result.rounds)} rounds, "
+        if len(result.alphas) != T:
+            raise InvalidParams(f"record group {group.tag} has {len(result.alphas)} rounds, "
                                 f"not T={T}")
         oracle_calls += T
         denom = _phase_denominator(cur_lists.values(), result.correct_counts, T, p - j + 1)

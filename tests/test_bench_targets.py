@@ -51,3 +51,22 @@ def test_a_traced_tiny_operation_counts_slot_digests(monkeypatch, tmp_path, work
         tracer.uninstall()
     tracer.end_round()
     assert tracer.per_round()[0]["core.digest.calls"] > 0
+
+
+def test_a_traced_tiny_hedge_floor_operation_passes_its_check_and_counts_both_runs(
+        monkeypatch, tmp_path):
+    # The hedge-floor workload reads a Hedge run's rounds, round_indices and
+    # score.predictions, and runs only in the benchmark; a rename shows here.
+    spans, workloads = _load_spans(), bench_workloads(monkeypatch)
+    wl = workloads.WORKLOADS["hedge-floor"]
+    inp = wl.inputs(0, workloads.TINY_SIZES["hedge-floor"])[0]
+    tracer = spans.Tracer()
+    tracer.begin_round()
+    tracer.install()
+    try:
+        out = wl.run(inp, workloads.Clock(), tmp_path / "record.json")
+    finally:
+        tracer.uninstall()
+    tracer.end_round()
+    assert wl.check(inp, out) == []
+    assert tracer.per_round()[0]["hedge.rounds"] == 2 * inp.T  # training, then replay

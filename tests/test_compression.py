@@ -121,7 +121,7 @@ def _slot_rows(kind, monkeypatch):
         res = run_hedge(ds, ListFunction.universal(ds.alphabet),
                         WeakLearnerSpec(inp.spec.learner, m0=10), T=30, eta=0.4,
                         rng=RandomStream(2, ("mixed",)))
-        rows = res.score.predictions
+        rows = res.score.rows[res.draws]  # a row per round
         return res.round_indices, rows, [tuple(row) for row in rows.tolist()]
     if kind == "wrong-label":  # a min-excluded label per instance, one int64 array per slot
         plain = [(0, 2, 1, 1), (1, 1, 0, 2), (0, 2, 1, 1), (0, 2, 1, 0), (0, 2, 1, 1)]

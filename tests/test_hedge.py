@@ -1,6 +1,7 @@
 """Multiplicative-weights loop: vote tables, regret, elimination, replay."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -29,7 +30,7 @@ from listboost import (
 )
 from listboost.compression import RecordGroup, hedge_group
 from listboost.core import normalize, stable_digest
-from listboost.hedge import ScoreTable, _drawn_indices
+from listboost.hedge import _BLOCK_CELLS, ScoreTable, _drawn_indices
 from listboost.weak_learn import WeakHypothesis
 from tests.conftest import bench_workloads, build_class, planted_dataset
 
@@ -50,7 +51,7 @@ def test_vote_totals_and_shape(counterexample_dataset):
     T = 40
     res = run_hedge(ds, mu, spec, T=T, eta=0.3, rng=RandomStream(5, ("hedge",)))
     assert res.score.total == T
-    assert res.score.predictions.shape == (T, ds.m)
+    assert res.score.rows.shape == (len(res.score.slots), ds.m)
     for x in ds.unique_instances:
         counts = res.score.counts(x)
         assert counts.sum() == T
@@ -141,9 +142,9 @@ def test_replay_reproduces_scores():
     spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=6)
     res = run_hedge(ds, mu, spec, T=25, eta=0.4, rng=RandomStream(8, ("h",)))
     replayed = replay_hedge(ds, mu, spec, res.round_indices, eta=0.4)
-    assert np.array_equal(replayed.score.predictions, res.score.predictions)
+    assert np.array_equal(replayed.score.rows[replayed.draws], res.score.rows[res.draws])
     assert np.array_equal(replayed.correct_counts, res.correct_counts)
-    assert [r.indices for r in replayed.rounds] == [r.indices for r in res.rounds]
+    assert replayed.round_indices == res.round_indices
 
 
 _weights = st.lists(st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=1e9)),
@@ -191,14 +192,23 @@ def test_draw_never_returns_a_zero_weight_index():
     assert draw(1, dist).tolist() == [1, 3, 3, 6, 6, 1, 6]
 
 
+class _FreshClosureLearner(ErmFiniteLearner):
+    """ERM rows, each wrapped in a fresh closure: every round is its own slot."""
+
+    def train(self, sample, mu=None):
+        return WeakHypothesis(predict=super().train(sample, mu).predict)
+
+
 def test_two_runs_on_one_stream_draw_the_same_samples():
+    # A slot per round, so round_indices are the samples the rounds drew.
     fc = build_class([(0, 1, 0), (1, 1, 0), (0, 0, 1)], alphabet=(0, 1))
     ds = planted_dataset(fc, m=15, seed=4)
     mu = ListFunction.universal(ds.alphabet)
-    spec = WeakLearnerSpec(ErmFiniteLearner(fc), m0=6)
+    spec = WeakLearnerSpec(_FreshClosureLearner(fc), m0=6)
     rng = RandomStream(8, ("h",))
     first = run_hedge(ds, mu, spec, T=25, eta=0.4, rng=rng)
     second = run_hedge(ds, mu, spec, T=25, eta=0.4, rng=rng)
+    assert first.samples == first.round_indices and len(first.samples) == 25
     assert len(set(first.round_indices)) > 1
     assert second.round_indices == first.round_indices
 
@@ -208,10 +218,9 @@ def test_round_trace_fields(counterexample_dataset):
     spec = WeakLearnerSpec(TooWeakLearner(), m0=2)
     res = run_hedge(ds, ListFunction.universal(ds.alphabet), spec, T=5,
                     eta=0.3, rng=RandomStream(0, ("h",)))
-    assert [r.t for r in res.rounds] == [1, 2, 3, 4, 5]
-    for r in res.rounds:
-        assert len(r.indices) == 2
-        assert r.alpha in (0.0, 0.5, 1.0) or 0.0 <= r.alpha <= 1.0
+    assert len(res.rounds) == len(res.draws) == len(res.alphas) == 5
+    assert all(len(ix) == 2 for ix in res.round_indices)
+    assert all(0.0 <= alpha <= 1.0 for alpha in res.alphas.tolist())
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
@@ -227,10 +236,12 @@ def test_public_entry_points_reject_non_finite_or_non_positive_eta(counterexampl
 
 
 def test_score_rows_match_a_reference_count_and_evaluate_unseen_instances_once():
+    # Slot 3 is never drawn (as a game response that lost its retry): it never votes.
     ds = make_dataset([("a", 0), ("b", 1), ("a", 0), ("c", 2)], alphabet=(0, 1, 2))
     tables = [{"a": 0, "b": 1, "c": 2, "d": 1},
               {"a": 0, "b": 0, "c": 2, "d": 2},
-              {"a": 1, "b": 1, "c": 2, "d": 1}]
+              {"a": 1, "b": 1, "c": 2, "d": 1},
+              {"a": 2, "b": 2, "c": 0, "d": 0}]
     calls = Counter()
 
     def hypothesis(table):
@@ -240,17 +251,41 @@ def test_score_rows_match_a_reference_count_and_evaluate_unseen_instances_once()
         return WeakHypothesis(predict=predict)
 
     hyps = [hypothesis(t) for t in tables]
-    score = ScoreTable(hyps, ds, np.array([h.predictions_for(ds) for h in hyps]))
-    assert calls["d"] == 0
-    for x in ("a", "d"):  # a training instance, then an unseen one
-        reference = Counter(t[x] for t in tables)
-        row = score.counts(x)
-        assert row.tolist() == [reference[y] for y in ds.alphabet]
-        assert row.sum() == score.total == len(tables)
-    for _ in range(3):
-        score.counts("d")
-        assert score.score("d", 1) == 2
-    assert calls["d"] == len(tables)
+    rows = np.array([h.predictions_for(ds) for h in hyps])
+    for draws in ([0, 1, 2], [0, 2, 0, 1, 0], [1, 1, 0]):
+        calls.clear()
+        score = ScoreTable(hyps, draws, ds, rows)
+        for x in ("a", "b", "c", "d"):  # training instances, then an unseen one
+            reference = Counter(tables[s][x] for s in draws)  # a count over every round
+            row = score.counts(x)
+            assert row.dtype == np.int64
+            assert row.tolist() == [reference[y] for y in ds.alphabet]
+            assert row.sum() == score.total == len(draws)
+        for _ in range(3):
+            score.counts("d")
+            assert score.score("d", 1) == reference[1]
+        assert calls["d"] == len(set(draws)) and sum(calls.values()) == calls["d"]
+        assert score.predictions.tolist() == rows[draws].tolist()
+
+
+def test_a_run_holds_its_slots_and_one_block_of_rounds_not_every_round():
+    # m = 10,000 and T = 200, so a (T, m) int64 array would be 16 MB. A run keeps
+    # one prediction row and mask per slot and one block of weight rows; the
+    # rest of its traced peak is a few m-long working vectors.
+    fc = build_class([(0, 1, 0, 1), (1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0)], alphabet=(0, 1))
+    ds = planted_dataset(fc, m=10_000, seed=0)
+    T = 200
+    tracemalloc.start()
+    try:
+        res = run_hedge(ds, ListFunction.universal(ds.alphabet),
+                        WeakLearnerSpec(ErmFiniteLearner(fc), m0=5), T=T, eta=0.1,
+                        rng=RandomStream(0, ("memory",)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = min(T, max(1, _BLOCK_CELLS // ds.m))
+    assert len(res.draws) == T
+    assert peak < (len(res.score.slots) + block + 16) * ds.m * 8 < T * ds.m * 8 // 8
 
 
 class _RowOrClosureLearner(ErmFiniteLearner):
@@ -275,11 +310,12 @@ def test_score_rows_match_a_count_over_every_stored_hypothesis(learner_type):
                     WeakLearnerSpec(learner_type(fc), m0=3), T=30, eta=0.4,
                     rng=RandomStream(2, ("mixed",)))
     score = res.score
-    assert len(score.distinct) < score.total == len(score.hypotheses) == 30
+    hypotheses = [score.slots[s] for s in score.draws]
+    assert len(score.slots) < score.total == len(hypotheses) == 30
     if learner_type is _RowOrClosureLearner:  # fresh closures count once each
-        assert len(score.distinct) > 15
+        assert len(score.slots) > 15
     for x in fc.columns:
-        reference = np.bincount([h.predict(x) for h in score.hypotheses], minlength=3)
+        reference = np.bincount([h.predict(x) for h in hypotheses], minlength=3)
         assert score.counts(x).dtype == np.int64
         assert score.counts(x).tolist() == reference.tolist()
 
@@ -298,16 +334,16 @@ def test_round_slots_hash_each_row_as_its_own_tuple_and_check_every_slot(monkeyp
     res = run_hedge(ds, ListFunction.universal(ds.alphabet),
                     WeakLearnerSpec(learner_type(inp.spec.learner.finite_class), m0=10),
                     T=30, eta=0.4, rng=RandomStream(2, ("mixed",)))
-    rows = [tuple(row) for row in res.score.predictions.tolist()]
+    rows = [tuple(row) for row in res.score.rows[res.draws].tolist()]
     assert len(set(rows)) == 5 and len({row[:5] for row in rows}) == 1
     group = hedge_group("rounds", res)
     slots, draws = group.slots, group.draws
-    assert len(draws) == 30 and len(slots) == len(res.score.distinct)
+    assert len(draws) == 30 and len(slots) == len(res.score.slots)
     assert list(dict.fromkeys(draws)) == list(range(len(slots)))
-    assert [res.score.hypotheses[t] for t in map(draws.index, range(len(slots)))] == \
-        list(res.score.distinct)
-    assert [s.indices for s in slots] == [res.round_indices[draws.index(n)]
-                                          for n in range(len(slots))]
+    assert [tuple(row) for row in res.score.rows.tolist()] == \
+        [rows[draws.index(n)] for n in range(len(slots))]
+    assert [s.indices for s in slots] == res.samples == [res.round_indices[draws.index(n)]
+                                                         for n in range(len(slots))]
     assert [slots[n].pred_hash for n in draws] == [stable_digest(row) for row in rows]
     assert group.size() == 30 * 10
     assert hedge_group("rounds", res, group) == group

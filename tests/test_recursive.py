@@ -362,8 +362,8 @@ def _hedge_runs(monkeypatch) -> list:
 
 def _bits(result) -> tuple:
     return (result.alphas.tobytes(), result.final_log_weights.tobytes(),
-            result.correct_counts.tolist(), result.score.predictions.tobytes(), result.draws,
-            [(r.t, repr(r.alpha), repr(r.audit)) for r in result.rounds])
+            result.correct_counts.tolist(), result.score.rows.tobytes(), result.draws,
+            result.samples, result.round_indices, [repr(a) for a in result.audits])
 
 
 @pytest.mark.parametrize("workload, size, seed", [
@@ -374,8 +374,8 @@ def _bits(result) -> tuple:
 def test_replay_is_training_bit_for_bit(monkeypatch, workload, size, seed):
     # Replay trains each slot once and passes the rest of the rounds in
     # blocks; every Hedge run it rebuilds equals the trained one bit for bit:
-    # alphas, final log-weights, votes, draws and every round's audit. (A
-    # round that repeats a slot replays the slot's sample, not its own draw.)
+    # alphas, final log-weights, votes, draws, slot samples, every round's
+    # sample (its slot's, in both) and every round's audit.
     workloads = bench_workloads(monkeypatch)
     inp = workloads.WORKLOADS[workload].build(seed, 0, getattr(workloads, size)[workload])
     runs = _hedge_runs(monkeypatch)
@@ -476,9 +476,10 @@ def test_erm_boost_labels_training_sets_by_gather_and_asks_each_row_once(monkeyp
     inp = workloads.build_boost_erm(0, 0, workloads.TINY_SIZES["boost-erm"])
     res = recursive_boost(inp.dataset, inp.spec, inp.config)
     assert not calls
-    tables = [res.hint_result.hypotheses] + [s.hypotheses for s in res.chain.scores]
-    per_table = sum(len(set(hyps)) for hyps in tables)
-    assert per_table < sum(map(len, tables))  # the rounds repeat rows
+    tables = [res.hint_result.slots] + [s.slots for s in res.chain.scores]
+    per_table = sum(map(len, tables))
+    rounds = res.hint_result.rounds_run + sum(s.total for s in res.chain.scores)
+    assert per_table < rounds  # the rounds repeat rows
     for x in inp.columns:
         res.predict(x)
     seen = set(inp.dataset.unique_instances)
